@@ -12,7 +12,7 @@ from .core import (
     sphere,
     sphere_plus,
 )
-from .engine import SwarmState, TrialResult, init_swarm, init_swarm_explicit, run_until_hit, step
+from .engine import TrialResult, init_swarm, init_swarm_explicit, run_until_hit, step
 from .moments import (
     MomentLimits,
     equilibrium_point,
@@ -20,7 +20,6 @@ from .moments import (
     iterate_moments,
     moment_limits,
     moment_transition,
-    spectral_radius,
     stationary_moments,
     stationary_variance,
     variance_limit,

@@ -1,9 +1,11 @@
 """Vectorised multi-trial simulation kernels.
 
-Trials run in lockstep on (trials, m, n) arrays.  Draw coordinates and update
-arithmetic mirror :mod:`swarmlab.engine` exactly, so a batch trial is bit
-identical to the scalar engine run with the same master seed and trial index;
-tests enforce this.
+`BatchSwarm` is the one place the swarm update is written: trials run in
+lockstep on (trials, m, n) arrays, and a one-trial run (:mod:`swarmlab.engine`)
+is a `BatchSwarm` with trials = 1.  Trial k of a batch draws from the same
+counter-based coordinates (master seed, purpose, trial, particle, dimension,
+step) as the pure-Python `RngStream`; tests check every trial bit for bit
+against a scalar reference step built on it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ __all__ = [
 ]
 
 _MAX_INIT_ATTEMPTS = 10_000
+# Draws hashed per call: a narrow swarm hashes several future steps at once (a
+# counter-based draw does not depend on when it is hashed), a wide one a step.
+_BLOCK_ELEMENTS = 2 ** 14
 
 
 class BatchSwarm:
@@ -102,17 +107,39 @@ class BatchSwarm:
         self.values = values
         self.t = 0
         self.eval_count = params.m
+        self._block_steps = max(1, _BLOCK_ELEMENTS // max(1, trials * m * n))
+        self._block_start = self._block_end = 0
+
+    def _draws(self):
+        """Attraction factors R, S and the noise term D (None when delta == 0)
+        of step t, from a block of `_block_steps` steps hashed in one call."""
+        if self.t >= self._block_end:
+            steps = np.arange(self.t, self.t + self._block_steps, dtype=np.uint64)
+            steps = steps.reshape(-1, 1, 1, 1)
+            D = None
+            if self._base_d is not None:
+                D = self.params.delta * (step_uniform(self._base_d, steps) - 0.5)
+            self._block = (step_uniform(self._base_r, steps),
+                           step_uniform(self._base_s, steps), D)
+            self._block_start, self._block_end = self.t, self.t + self._block_steps
+        k = self.t - self._block_start
+        return tuple(None if b is None else b[k] for b in self._block)
 
     def step(self) -> np.ndarray:
-        """Advance every trial one step; returns the fresh (trials, m) values."""
+        """Advance every trial one step; returns the fresh (trials, m) values.
+
+        Fresh attraction factors are drawn per (particle, dimension); when
+        delta > 0 an independent uniform noise term on [-delta/2, delta/2] is
+        added to each velocity component.  Personal bests update on strict
+        improvement only, then the global best is the lowest-index argmin of
+        the updated personal bests (every particle saw the pre-step best).
+        """
         p = self.params
-        R = step_uniform(self._base_r, self.t)
-        S = step_uniform(self._base_s, self.t)
+        R, S, D = self._draws()
         V = (p.omega * self.V
              + p.phi1 * R * (self.P - self.X)
              + p.phi2 * S * (self.G[:, None, :] - self.X))
-        if self._base_d is not None:
-            D = p.delta * (step_uniform(self._base_d, self.t) - 0.5)
+        if D is not None:
             V = V + D
         X = self.X + V
         values = self.objective.batch_evaluate(X)

@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import engine, experiments, moments, regions
-from .core import PsoParams, RngStream, get_objective, make_params
+from .core import PsoParams, get_objective, make_params
 from .stagnation import TwoParticleInit
 
 __all__ = ["main"]
@@ -178,10 +178,13 @@ def _resolve_seed(args) -> int:
 
 
 def _threads(args) -> int:
+    """Worker threads from --threads or SWARMLAB_THREADS, within [1, cpu count]."""
     if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SWARMLAB_THREADS", "")
-    return max(1, int(env)) if env.isdigit() and env else 1
+        n = args.threads
+    else:
+        env = os.environ.get("SWARMLAB_THREADS", "")
+        n = int(env) if env.isdigit() else 1
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +241,17 @@ def cmd_simulate(args) -> int:
     params = _params_from_config(cfg)
     seed = _resolve_seed(args)
     f = get_objective(cfg["objective"])
-    rng_stream = RngStream(seed, trial=0)
     if cfg["init"] == "explicit":
-        state = engine.init_swarm_explicit(
+        swarm = engine.init_swarm_explicit(
+            params, f, seed,
             np.asarray(cfg["positions"]).reshape(params.m, params.n),
-            np.asarray(cfg["velocities"]).reshape(params.m, params.n), f)
+            np.asarray(cfg["velocities"]).reshape(params.m, params.n))
     else:
-        state = engine.init_swarm(params, f, rng_stream)
+        swarm = engine.init_swarm(params, f, seed,
+                                  require_nonneg_gbest=cfg["require_nonneg_gbest"])
     budget = cfg["budget"]
     stride = cfg.get("stride") or max(1, budget // (1000 * params.m))
-    result = engine.run_until_hit(state, params, f, budget, rng_stream, trace_stride=stride)
+    result = engine.run_until_hit(swarm, budget, trace_stride=stride)
     out = _out_dir(args)
     rows = [engine.TRAJECTORY_HEADER]
     for t, i, j, x, v, p, g, fg in result.trace:

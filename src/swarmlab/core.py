@@ -96,9 +96,9 @@ def make_params(omega, phi1, phi2, delta, alpha, epsilon, m, n) -> PsoParams:
 class ObjectiveFn:
     """An evaluatable objective with known optimum value.
 
-    evaluate maps a length-n vector to a float (may be +inf); batch_evaluate
-    maps an (..., n) array to a (...) array using bit-identical arithmetic so
-    that scalar and vectorised simulations agree exactly.
+    batch_evaluate maps an (..., n) array to a (...) array (values may be
+    +inf) and is the one definition of the objective; evaluate is its view on
+    a single length-n vector, returning a float.
     """
 
     name: str
@@ -107,9 +107,10 @@ class ObjectiveFn:
     batch_evaluate: Callable[[np.ndarray], np.ndarray]
 
 
-def _sphere_eval(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.sum(x * x))
+def _objective(name: str, optimum_value: float, batch_evaluate) -> ObjectiveFn:
+    def evaluate(x):
+        return float(batch_evaluate(np.asarray(x, dtype=np.float64)))
+    return ObjectiveFn(name, optimum_value, evaluate, batch_evaluate)
 
 
 def _sphere_batch(X: np.ndarray) -> np.ndarray:
@@ -118,15 +119,7 @@ def _sphere_batch(X: np.ndarray) -> np.ndarray:
 
 def sphere() -> ObjectiveFn:
     """Squared Euclidean norm; optimum 0 at the origin."""
-    return ObjectiveFn("sphere", 0.0, _sphere_eval, _sphere_batch)
-
-
-def _sphere_plus_eval(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (1,):
-        raise ValueError("sphere_plus is one-dimensional")
-    v = x[0]
-    return np.inf if v < 0 else float(v * v)
+    return _objective("sphere", 0.0, _sphere_batch)
 
 
 def _sphere_plus_batch(X: np.ndarray) -> np.ndarray:
@@ -143,33 +136,21 @@ def sphere_plus() -> ObjectiveFn:
     stuck at +inf loses against any finite value and nothing else needs to
     special-case the negative region.
     """
-    return ObjectiveFn("sphere_plus", 0.0, _sphere_plus_eval, _sphere_plus_batch)
-
-
-def _counterexample_eval(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (1,):
-        raise ValueError("counterexample is one-dimensional")
-    v = x[0]
-    # exact comparisons: the two special points are placed exactly by the
-    # experiment configurations, so no tolerance is wanted here
-    if v == 0.0:
-        return 0.0
-    if v == 1.0:
-        return 1.0
-    return 2.0
+    return _objective("sphere_plus", 0.0, _sphere_plus_batch)
 
 
 def _counterexample_batch(X: np.ndarray) -> np.ndarray:
     if X.shape[-1] != 1:
         raise ValueError("counterexample is one-dimensional")
     v = X[..., 0]
+    # exact comparisons: the two special points are placed exactly by the
+    # experiment configurations, so no tolerance is wanted here
     return np.where(v == 0.0, 0.0, np.where(v == 1.0, 1.0, 2.0))
 
 
 def counterexample() -> ObjectiveFn:
     """Three-valued function: 0 at 0, 1 at 1, 2 everywhere else."""
-    return ObjectiveFn("counterexample", 0.0, _counterexample_eval, _counterexample_batch)
+    return _objective("counterexample", 0.0, _counterexample_batch)
 
 
 def monotone_transform(f: ObjectiveFn, g: Callable, name: str | None = None) -> ObjectiveFn:
@@ -179,13 +160,8 @@ def monotone_transform(f: ObjectiveFn, g: Callable, name: str | None = None) -> 
     swarm update is comparison-based, any such transform leaves every
     best-position decision unchanged.
     """
-    gname = name or f"g({f.name})"
-    return ObjectiveFn(
-        name=gname,
-        optimum_value=float(g(f.optimum_value)),
-        evaluate=lambda x: float(g(f.evaluate(x))),
-        batch_evaluate=lambda X: g(f.batch_evaluate(X)),
-    )
+    return _objective(name or f"g({f.name})", float(g(f.optimum_value)),
+                      lambda X: g(f.batch_evaluate(X)))
 
 
 _OBJECTIVES = {
@@ -245,7 +221,8 @@ class RngStream:
     dim, step): identical coordinates always reproduce the identical double,
     and draws that are never evaluated (e.g. velocity noise when delta == 0)
     cannot influence any other draw.  Trials therefore parallelise freely and
-    noise-free runs are bit-comparable with noisy ones.
+    noise-free runs are bit-comparable with noisy ones.  Simulations use the
+    vectorised form (`stream_base`, `step_uniform`); tests check it on this.
     """
 
     master_seed: int
@@ -255,9 +232,6 @@ class RngStream:
         object.__setattr__(self, "master_seed", int(self.master_seed) & _MASK64)
         if self.trial < 0:
             raise ValueError("trial index must be >= 0")
-
-    def for_trial(self, trial: int) -> "RngStream":
-        return RngStream(self.master_seed, trial)
 
     def raw(self, purpose: int, particle: int, dim: int, step: int) -> int:
         h = _mix64(self.master_seed ^ _PURPOSE_SALT[purpose])
@@ -288,7 +262,8 @@ def stream_base(master_seed: int, purpose: int, trials: int, m: int, n: int,
     return _mix64_np(h ^ d_idx)
 
 
-def step_uniform(base: np.ndarray, step: int) -> np.ndarray:
-    """Uniform [0, 1) array for one step index against a precomputed base."""
+def step_uniform(base: np.ndarray, step) -> np.ndarray:
+    """Uniform [0, 1) array for one step index against a precomputed base;
+    a uint64 array of steps broadcast against `base` hashes several at once."""
     h = _mix64_np(base ^ np.uint64(step))
     return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53

@@ -1,9 +1,9 @@
-"""Swarm simulation with first-hitting-time tracking.
+"""One-trial runs with first-hitting-time tracking and trajectory dumps.
 
-One trial is strictly sequential; states are treated as immutable and each
-step returns a fresh state.  The same update arithmetic is used by the
-vectorised kernels in :mod:`swarmlab.batch`, and the two are tested to agree
-bit for bit.
+A one-trial swarm is a :class:`swarmlab.batch.BatchSwarm` with trials = 1 and
+the master seed's trial 0 (or the given trial index), so a `simulate` run
+follows the same update, initialisation and best update as trial 0 of `fht`.
+The swarm is advanced in place.
 """
 
 from __future__ import annotations
@@ -12,19 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ObjectiveFn,
-    PsoParams,
-    RngStream,
-    PURPOSE_INIT_X,
-    PURPOSE_INIT_V,
-    PURPOSE_NOISE,
-    PURPOSE_R,
-    PURPOSE_S,
-)
+from .batch import BatchSwarm
+from .core import ObjectiveFn, PsoParams
 
 __all__ = [
-    "SwarmState",
     "TrialResult",
     "init_swarm",
     "init_swarm_explicit",
@@ -35,129 +26,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SwarmState:
-    """Positions, velocities, and cached best values after step ``t``.
-
-    ``current_values`` caches the objective at the current positions (the
-    evaluations performed at step ``t``); hit detection quantifies over these,
-    not only over the bests.
-    """
-
-    positions: np.ndarray        # (m, n)
-    velocities: np.ndarray       # (m, n)
-    pbest_positions: np.ndarray  # (m, n)
-    pbest_values: np.ndarray     # (m,)
-    gbest_position: np.ndarray   # (n,)
-    gbest_value: float
-    current_values: np.ndarray   # (m,)
-    t: int
-    eval_count: int
-
-    @property
-    def m(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.positions.shape[1]
-
-
-def _finish_init(positions, velocities, f: ObjectiveFn, eval_count: int) -> SwarmState:
-    values = np.array([f.evaluate(positions[i]) for i in range(positions.shape[0])])
-    gi = int(np.argmin(values))  # ties: lowest particle index
-    return SwarmState(
-        positions=positions,
-        velocities=velocities,
-        pbest_positions=positions.copy(),
-        pbest_values=values.copy(),
-        gbest_position=positions[gi].copy(),
-        gbest_value=float(values[gi]),
-        current_values=values,
-        t=0,
-        eval_count=eval_count,
-    )
-
-
-def init_swarm(params: PsoParams, f: ObjectiveFn, rng: RngStream, attempt: int = 0) -> SwarmState:
+def init_swarm(params: PsoParams, f: ObjectiveFn, seed: int, trial: int = 0,
+               require_nonneg_gbest: bool = False) -> BatchSwarm:
     """Uniform initialisation of positions and velocities on [-alpha, alpha].
 
-    Personal bests start at the initial positions and the global best is the
-    argmin of their values; the m initial evaluations are counted.  `attempt`
-    feeds the step coordinate of the init draws so rejection schemes can
-    re-sample reproducibly.
+    With require_nonneg_gbest, a start without any nonnegative position is
+    drawn again, as `fht` does.
     """
-    m, n = params.m, params.n
-    X = np.empty((m, n))
-    V = np.empty((m, n))
-    a = params.alpha
-    for i in range(m):
-        for j in range(n):
-            X[i, j] = a * (2.0 * rng.uniform(PURPOSE_INIT_X, i, j, attempt) - 1.0)
-            V[i, j] = a * (2.0 * rng.uniform(PURPOSE_INIT_V, i, j, attempt) - 1.0)
-    return _finish_init(X, V, f, eval_count=m)
+    return BatchSwarm(params, f, 1, seed, trial,
+                      require_nonneg_gbest=require_nonneg_gbest)
 
 
-def init_swarm_explicit(positions, velocities, f: ObjectiveFn) -> SwarmState:
-    """Initial state with caller-specified positions and velocities.
-
-    Accepts (m, n) arrays or length-m sequences for one-dimensional swarms.
-    Personal bests are set to the initial positions.
-    """
-    X = np.atleast_1d(np.asarray(positions, dtype=np.float64))
-    V = np.atleast_1d(np.asarray(velocities, dtype=np.float64))
-    if X.ndim == 1:
-        X = X[:, None]
-    if V.ndim == 1:
-        V = V[:, None]
-    if X.shape != V.shape:
-        raise ValueError(f"positions {X.shape} and velocities {V.shape} differ in shape")
-    return _finish_init(X.copy(), V.copy(), f, eval_count=X.shape[0])
+def init_swarm_explicit(params: PsoParams, f: ObjectiveFn, seed: int,
+                        positions, velocities) -> BatchSwarm:
+    """Initial state with caller-specified (m, n) positions and velocities
+    (length-m sequences for one-dimensional swarms)."""
+    return BatchSwarm(params, f, 1, seed, init="explicit",
+                      positions=positions, velocities=velocities)
 
 
-def step(state: SwarmState, params: PsoParams, f: ObjectiveFn, rng: RngStream) -> SwarmState:
-    """One synchronous update of all particles.
-
-    Fresh attraction factors are drawn per (particle, dimension); when
-    delta > 0 an independent uniform noise term on [-delta/2, delta/2] is
-    added to each velocity component.  Personal bests update on strict
-    improvement only, then the global best is recomputed from the updated
-    personal bests (all particles saw the pre-step global best).
-    """
-    m, n = state.m, state.n
-    t = state.t
-    R = np.empty((m, n))
-    S = np.empty((m, n))
-    for i in range(m):
-        for j in range(n):
-            R[i, j] = rng.uniform(PURPOSE_R, i, j, t)
-            S[i, j] = rng.uniform(PURPOSE_S, i, j, t)
-    V = (params.omega * state.velocities
-         + params.phi1 * R * (state.pbest_positions - state.positions)
-         + params.phi2 * S * (state.gbest_position[None, :] - state.positions))
-    if params.delta > 0:
-        D = np.empty((m, n))
-        for i in range(m):
-            for j in range(n):
-                D[i, j] = params.delta * (rng.uniform(PURPOSE_NOISE, i, j, t) - 0.5)
-        V = V + D
-    X = state.positions + V
-    values = np.array([f.evaluate(X[i]) for i in range(m)])
-    improved = values < state.pbest_values
-    P = np.where(improved[:, None], X, state.pbest_positions)
-    pvals = np.where(improved, values, state.pbest_values)
-    gi = int(np.argmin(pvals))
-    return SwarmState(
-        positions=X,
-        velocities=V,
-        pbest_positions=P,
-        pbest_values=pvals,
-        gbest_position=P[gi].copy(),
-        gbest_value=float(pvals[gi]),
-        current_values=values,
-        t=t + 1,
-        eval_count=state.eval_count + m,
-    )
+def step(swarm: BatchSwarm) -> BatchSwarm:
+    """One synchronous update of all particles (see `BatchSwarm.step`)."""
+    swarm.step()
+    return swarm
 
 
 @dataclass(frozen=True)
@@ -182,24 +73,17 @@ class TrialResult:
 TRAJECTORY_HEADER = "t,particle,dim,x,v,p,g,f_g"
 
 
-def trajectory_rows(state: SwarmState) -> list:
-    """CSV rows (one per particle per dimension) for the current state."""
-    rows = []
-    for i in range(state.m):
-        for j in range(state.n):
-            rows.append((state.t, i, j,
-                         float(state.positions[i, j]), float(state.velocities[i, j]),
-                         float(state.pbest_positions[i, j]), float(state.gbest_position[j]),
-                         float(state.gbest_value)))
-    return rows
+def trajectory_rows(swarm: BatchSwarm) -> list:
+    """CSV rows (one per particle per dimension) for trial 0's current state."""
+    X, V, P, G = swarm.X[0], swarm.V[0], swarm.P[0], swarm.G[0]
+    fg = float(swarm.fG[0])
+    return [(swarm.t, i, j, float(X[i, j]), float(V[i, j]), float(P[i, j]),
+             float(G[j]), fg)
+            for i in range(X.shape[0]) for j in range(X.shape[1])]
 
 
-def _inside_ball(state: SwarmState, f: ObjectiveFn, epsilon: float) -> bool:
-    return bool(np.any(np.abs(state.current_values - f.optimum_value) < epsilon))
-
-
-def run_until_hit(state: SwarmState, params: PsoParams, f: ObjectiveFn,
-                  budget: int, rng: RngStream, trace_stride: int | None = None) -> TrialResult:
+def run_until_hit(swarm: BatchSwarm, budget: int,
+                  trace_stride: int | None = None) -> TrialResult:
     """Step until an evaluated position lands within epsilon of the optimum
     value (initial evaluations included) or the next step would exceed the
     evaluation budget.
@@ -207,16 +91,18 @@ def run_until_hit(state: SwarmState, params: PsoParams, f: ObjectiveFn,
     A hit records the eval_count after the batch of evaluations that produced
     it.  With trace_stride set, sampled trajectory rows are attached.
     """
-    if budget < state.m:
-        raise ValueError(f"budget {budget} is below one evaluation sweep ({state.m})")
+    m = swarm.params.m
+    if budget < m:
+        raise ValueError(f"budget {budget} is below one evaluation sweep ({m})")
+    opt, epsilon = swarm.objective.optimum_value, swarm.params.epsilon
     trace = [] if trace_stride else None
     if trace is not None:
-        trace.extend(trajectory_rows(state))
+        trace.extend(trajectory_rows(swarm))
     while True:
-        if _inside_ball(state, f, params.epsilon):
-            return TrialResult(True, state.eval_count, budget, state.gbest_value, trace)
-        if state.eval_count + state.m > budget:
-            return TrialResult(False, None, budget, state.gbest_value, trace)
-        state = step(state, params, f, rng)
-        if trace is not None and state.t % trace_stride == 0:
-            trace.extend(trajectory_rows(state))
+        if np.any(np.abs(swarm.values[0] - opt) < epsilon):
+            return TrialResult(True, swarm.eval_count, budget, float(swarm.fG[0]), trace)
+        if swarm.eval_count + m > budget:
+            return TrialResult(False, None, budget, float(swarm.fG[0]), trace)
+        step(swarm)
+        if trace is not None and swarm.t % trace_stride == 0:
+            trace.extend(trajectory_rows(swarm))

@@ -38,8 +38,6 @@ __all__ = [
     "MomentLimits",
     "moment_limits",
     "second_moment_block",
-    "mean_block",
-    "spectral_radius",
     "char_cubic_radius",
     "second_moment_radius_grid",
 ]
@@ -233,51 +231,6 @@ def moment_limits(params: PsoParams, p_best: float, g_best: float) -> MomentLimi
 def second_moment_block(M: np.ndarray) -> np.ndarray:
     """Homogeneous 3x3 block acting on (E[X_t^2], E[X_t X_{t-1}], E[X_{t-1}^2])."""
     return M[:3, :3].copy()
-
-
-def mean_block(M: np.ndarray) -> np.ndarray:
-    """Homogeneous 2x2 block acting on (E[X_t], E[X_{t-1}])."""
-    return M[3:5, 3:5].copy()
-
-
-def spectral_radius(A: np.ndarray, tol: float = 1e-12, max_iter: int = 500_000) -> float:
-    """Largest eigenvalue modulus by norm-ratio power iteration.
-
-    Deterministic start vector; convergence requires the ratio estimate to be
-    stable to `tol` over three consecutive iterations.  Raises RuntimeError at
-    the iteration cap (e.g. when a complex pair dominates and the ratio
-    oscillates).  For 3x3 inputs the result is cross-checked against the
-    characteristic-cubic roots.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("spectral_radius expects a square matrix")
-    k = A.shape[0]
-    v = np.ones(k) / np.sqrt(k)
-    est_prev = np.inf
-    stable_count = 0
-    est = 0.0
-    for _ in range(max_iter):
-        w = A @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        est = norm
-        v = w / norm
-        if abs(est - est_prev) <= tol * max(1.0, est):
-            stable_count += 1
-            if stable_count >= 3:
-                break
-        else:
-            stable_count = 0
-        est_prev = est
-    else:
-        raise RuntimeError(f"power iteration did not converge in {max_iter} iterations")
-    if k == 3:
-        ref = char_cubic_radius(A)
-        if abs(est - ref) > 1e-8 * max(1.0, ref):
-            raise RuntimeError(f"power iteration ({est}) disagrees with cubic roots ({ref})")
-    return est
 
 
 def char_cubic_radius(A: np.ndarray) -> float:

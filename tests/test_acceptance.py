@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from swarmlab import engine, experiments, moments, regions, stagnation
 from swarmlab.cli import main as cli_main
-from swarmlab.core import PURPOSE_NOISE, RngStream, make_params, sphere, stream_base
+from swarmlab.core import PURPOSE_NOISE, make_params, sphere, stream_base
 from swarmlab.experiments import ExperimentConfig
 from swarmlab.stagnation import TwoParticleInit
 from swarmlab import batch
@@ -65,15 +65,14 @@ def test_criterion_03_single_particle_drift():
     x0, v0, omega = 0.9, -0.05, 0.5
     params = make_params(omega, 1.5, 1.5, 0, 1, 0.5, 1, 1)
     f = sphere()
-    rng = RngStream(301, trial=0)
-    state = engine.init_swarm_explicit([x0], [v0], f)
+    swarm = engine.init_swarm_explicit(params, f, 301, [x0], [v0])
     worst_rel = 0.0
     for t in range(1, 10_001):
-        state = engine.step(state, params, f, rng)
+        engine.step(swarm)
         x_ref, v_ref = stagnation.one_particle_trajectory(x0, v0, omega, t)
-        worst_rel = max(worst_rel, abs(state.positions[0, 0] - x_ref) / abs(x_ref))
+        worst_rel = max(worst_rel, abs(swarm.X[0, 0, 0] - x_ref) / abs(x_ref))
         if v_ref != 0.0:
-            worst_rel = max(worst_rel, abs(state.velocities[0, 0] - v_ref) / abs(v_ref))
+            worst_rel = max(worst_rel, abs(swarm.V[0, 0, 0] - v_ref) / abs(v_ref))
     cfg = ExperimentConfig(params=params, objective="sphere", trials=100,
                            budget=1_000_000, master_seed=302, init="explicit",
                            positions=(x0,), velocities=(v0,))

@@ -1,8 +1,13 @@
+import argparse
 import hashlib
+import os
 
+import numpy as np
 import pytest
 
-from swarmlab.cli import main
+from swarmlab.batch import BatchSwarm
+from swarmlab.cli import _threads, main
+from swarmlab.core import make_params, sphere_plus
 
 
 def _read(path):
@@ -143,6 +148,24 @@ class TestSubcommands:
         assert lines[0] == "t,particle,dim,x,v,p,g,f_g"
         assert lines[1].startswith("0,0,0,0.9,-0.05,0.9,0.9,")
 
+    def test_simulate_rejects_start_without_nonnegative_position(self, tmp_path):
+        params = make_params(0.4, 1.5, 1.5, 0.01, 1.0, 0.01, 3, 1)
+        # seed 14's first draw puts every particle below 0, where f = +inf
+        first = BatchSwarm(params, sphere_plus(), 1, 14)
+        assert (first.X < 0).all()
+        out = tmp_path / "o"
+        assert main(["simulate", "--preset", "noisy-sphereplus",
+                     "--override", "budget=3000", "--seed", "14", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in
+                (out / "trajectory.csv").read_text().splitlines()[1:]]
+        start = [float(r[3]) for r in rows if r[0] == "0"]
+        assert max(start) >= 0
+        fht_start = BatchSwarm(params, sphere_plus(), 1, 14, require_nonneg_gbest=True)
+        assert start == fht_start.X[0, :, 0].tolist()
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        final = [ln.split(" = ")[1] for ln in manifest if ln.startswith("final_g_value")]
+        assert np.isfinite(float(final[0]))
+
     def test_stagnate_report(self, tmp_path):
         out = tmp_path / "o"
         assert main(["stagnate", "--preset", "thm2-example",
@@ -196,3 +219,16 @@ class TestSubcommands:
         monkeypatch.delenv("SWARMLAB_THREADS")
         assert main(base + ["--out", str(tmp_path / "b")]) == 0
         assert _read(tmp_path / "a" / "fht.csv") == _read(tmp_path / "b" / "fht.csv")
+
+
+class TestThreads:
+    # resolves the count only; no thread is started
+    def test_flag_capped_at_cpu_count(self):
+        assert _threads(argparse.Namespace(threads=10**6)) == (os.cpu_count() or 1)
+        assert _threads(argparse.Namespace(threads=0)) == 1
+
+    def test_env_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("SWARMLAB_THREADS", "1000000")
+        assert _threads(argparse.Namespace(threads=None)) == (os.cpu_count() or 1)
+        monkeypatch.setenv("SWARMLAB_THREADS", "1")
+        assert _threads(argparse.Namespace(threads=None)) == 1

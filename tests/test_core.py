@@ -139,14 +139,14 @@ class TestMonotoneTransform:
         params = make_params(0.6, 1.4, 1.6, 0.02, 1, 1e-6, 4, 2)
         f = sphere()
         g = monotone_transform(f, lambda y: 8.0 * y)
-        s1 = engine.init_swarm(params, f, RngStream(11, trial=0))
-        s2 = engine.init_swarm(params, g, RngStream(11, trial=0))
+        s1 = engine.init_swarm(params, f, 11)
+        s2 = engine.init_swarm(params, g, 11)
         for _ in range(100):
-            s1 = engine.step(s1, params, f, RngStream(11, trial=0))
-            s2 = engine.step(s2, params, g, RngStream(11, trial=0))
-        assert np.array_equal(s1.positions, s2.positions)
-        assert np.array_equal(s1.velocities, s2.velocities)
-        assert np.array_equal(s1.pbest_positions, s2.pbest_positions)
+            engine.step(s1)
+            engine.step(s2)
+        assert np.array_equal(s1.X, s2.X)
+        assert np.array_equal(s1.V, s2.V)
+        assert np.array_equal(s1.P, s2.P)
 
     def test_trajectories_identical_under_nonlinear_transform(self):
         # the three-valued objective has well-separated values, so any strictly
@@ -156,10 +156,10 @@ class TestMonotoneTransform:
         params = make_params(0.4, 1.5, 1.5, 0.0, 1, 1e-6, 2, 1)
         f = counterexample()
         g = monotone_transform(f, lambda y: 10.0 ** y)
-        s1 = engine.init_swarm_explicit([0.0, 1.0], [0.0, 0.0], f)
-        s2 = engine.init_swarm_explicit([0.0, 1.0], [0.0, 0.0], g)
+        s1 = engine.init_swarm_explicit(params, f, 23, [0.0, 1.0], [0.0, 0.0])
+        s2 = engine.init_swarm_explicit(params, g, 23, [0.0, 1.0], [0.0, 0.0])
         for _ in range(200):
-            s1 = engine.step(s1, params, f, RngStream(23, trial=0))
-            s2 = engine.step(s2, params, g, RngStream(23, trial=0))
-        assert np.array_equal(s1.positions, s2.positions)
-        assert np.array_equal(s1.pbest_positions, s2.pbest_positions)
+            engine.step(s1)
+            engine.step(s2)
+        assert np.array_equal(s1.X, s2.X)
+        assert np.array_equal(s1.P, s2.P)

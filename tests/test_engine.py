@@ -12,6 +12,8 @@ from swarmlab.core import (
     step_uniform,
 )
 
+from scalar_reference import ref_init, ref_step
+
 
 def _params(**kw):
     base = dict(omega=0.4, phi1=1.5, phi2=1.5, delta=0.0, alpha=1.0,
@@ -20,90 +22,89 @@ def _params(**kw):
     return make_params(**base)
 
 
+def _explicit(positions, velocities, f, seed=0, **kw):
+    params = _params(m=len(positions), **kw)
+    return engine.init_swarm_explicit(params, f, seed, positions, velocities)
+
+
 class TestInit:
     def test_random_init_support_and_bests(self):
         params = _params(m=3, alpha=1.0)
-        s = engine.init_swarm(params, sphere(), RngStream(1, trial=0))
-        assert np.all(np.abs(s.positions) <= 1.0)
-        assert np.all(np.abs(s.velocities) <= 1.0)
-        assert np.array_equal(s.pbest_positions, s.positions)
+        s = engine.init_swarm(params, sphere(), 1)
+        assert np.all(np.abs(s.X) <= 1.0)
+        assert np.all(np.abs(s.V) <= 1.0)
+        assert np.array_equal(s.P, s.X)
         assert s.eval_count == 3 and s.t == 0
-        assert s.gbest_value == s.pbest_values.min()
+        assert s.fG[0] == s.fP[0].min()
 
     def test_explicit_counterexample_config(self):
-        s = engine.init_swarm_explicit([0.0, 1.0], [0.0, 0.0], counterexample())
-        assert s.gbest_position[0] == 0.0 and s.gbest_value == 0.0
-        assert s.pbest_positions[:, 0].tolist() == [0.0, 1.0]
+        s = _explicit([0.0, 1.0], [0.0, 0.0], counterexample())
+        assert s.G[0, 0] == 0.0 and s.fG[0] == 0.0
+        assert s.P[0, :, 0].tolist() == [0.0, 1.0]
 
     def test_explicit_two_particle_sphere(self):
-        s = engine.init_swarm_explicit([184.0, 185.0], [-1.0, -1.0], sphere())
-        assert s.gbest_position[0] == 184.0
+        s = _explicit([184.0, 185.0], [-1.0, -1.0], sphere())
+        assert s.G[0, 0] == 184.0
 
     def test_explicit_single(self):
-        s = engine.init_swarm_explicit([5.0], [-1.0], sphere())
-        assert s.gbest_position[0] == 5.0
+        s = _explicit([5.0], [-1.0], sphere())
+        assert s.G[0, 0] == 5.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            engine.init_swarm_explicit([1.0, 2.0], [0.0], sphere())
+            engine.init_swarm_explicit(_params(m=2), sphere(), 0, [1.0, 2.0], [0.0])
 
     def test_argmin_tie_breaks_to_lowest_index(self):
-        s = engine.init_swarm_explicit([2.0, -2.0, 3.0], [0.0, 0.0, 0.0], sphere())
+        s = _explicit([2.0, -2.0, 3.0], [0.0, 0.0, 0.0], sphere())
         # particles 0 and 1 tie at value 4; index 0 wins
-        assert s.gbest_position[0] == 2.0
+        assert s.G[0, 0] == 2.0
 
 
 class TestStep:
     def test_self_attracting_particle_reduces_to_inertia(self):
-        params = _params(m=1, omega=0.5)
-        s = engine.init_swarm_explicit([0.9], [-0.05], sphere())
-        s1 = engine.step(s, params, sphere(), RngStream(3, trial=0))
-        assert s1.velocities[0, 0] == 0.5 * -0.05
-        assert s1.positions[0, 0] == 0.9 + 0.5 * -0.05
+        s = _explicit([0.9], [-0.05], sphere(), seed=3, omega=0.5)
+        engine.step(s)
+        assert s.V[0, 0, 0] == 0.5 * -0.05
+        assert s.X[0, 0, 0] == 0.9 + 0.5 * -0.05
 
     def test_all_zero_coefficients_freeze_state(self):
-        params = _params(m=2, omega=0.0, phi1=0.0, phi2=0.0)
-        s = engine.init_swarm_explicit([0.3, 0.7], [0.0, 0.0], sphere())
-        s1 = engine.step(s, params, sphere(), RngStream(3, trial=0))
-        assert np.array_equal(s1.positions, s.positions)
-        assert np.array_equal(s1.velocities, s.velocities)
-        assert s1.t == 1 and s1.eval_count == s.eval_count + 2
+        s = _explicit([0.3, 0.7], [0.0, 0.0], sphere(), seed=3,
+                      omega=0.0, phi1=0.0, phi2=0.0)
+        X, V = s.X.copy(), s.V.copy()
+        assert engine.step(s) is s
+        assert np.array_equal(s.X, X)
+        assert np.array_equal(s.V, V)
+        assert s.t == 1 and s.eval_count == 4
 
     def test_monotone_bests_and_counters(self):
         params = _params(m=4, delta=0.05, epsilon=1e-12)
-        f = sphere()
-        rng = RngStream(17, trial=0)
-        s = engine.init_swarm(params, f, rng)
+        s = engine.init_swarm(params, sphere(), 17)
         for _ in range(200):
-            s2 = engine.step(s, params, f, rng)
-            assert np.all(s2.pbest_values <= s.pbest_values)
-            assert s2.gbest_value <= s.gbest_value
-            assert s2.gbest_value == s2.pbest_values.min()
-            assert s2.eval_count == s.eval_count + params.m
-            s = s2
+            fP, fG, evals = s.fP.copy(), s.fG.copy(), s.eval_count
+            engine.step(s)
+            assert np.all(s.fP <= fP)
+            assert s.fG[0] <= fG[0]
+            assert s.fG[0] == s.fP[0].min()
+            assert s.eval_count == evals + params.m
 
     def test_pbest_requires_strict_improvement(self):
         # frozen configuration: particle 2's value stays 2 > 1, never updates
-        params = _params(m=2)
-        f = counterexample()
-        s = engine.init_swarm_explicit([0.0, 1.0], [0.0, 0.0], f)
-        rng = RngStream(5, trial=0)
+        s = _explicit([0.0, 1.0], [0.0, 0.0], counterexample(), seed=5)
         for _ in range(50):
-            s = engine.step(s, params, f, rng)
-        assert s.pbest_positions[1, 0] == 1.0
-        assert s.pbest_values[1] == 1.0
+            engine.step(s)
+        assert s.P[0, 1, 0] == 1.0
+        assert s.fP[0, 1] == 1.0
 
     def test_noise_term_is_exactly_additive(self):
         basic = _params(m=2, delta=0.0)
         noisy = _params(m=2, delta=0.01)
         f = sphere()
-        s0 = engine.init_swarm(basic, f, RngStream(9, trial=0))
-        a = engine.step(s0, basic, f, RngStream(9, trial=0))
-        b = engine.step(s0, noisy, f, RngStream(9, trial=0))
+        a = engine.step(engine.init_swarm(basic, f, 9))
+        b = engine.step(engine.init_swarm(noisy, f, 9))
         rng = RngStream(9, trial=0)
         noise = np.array([[0.01 * (rng.uniform(PURPOSE_NOISE, i, j, 0) - 0.5)
                            for j in range(1)] for i in range(2)])
-        assert np.array_equal(b.velocities, a.velocities + noise)
+        assert np.array_equal(b.V[0], a.V[0] + noise)
 
     def test_zero_delta_run_unaffected_by_noise_stream_evaluation(self):
         # counter-based draws are pure functions of coordinates, so evaluating
@@ -122,38 +123,32 @@ class TestStep:
 
 class TestRunUntilHit:
     def test_initial_position_inside_ball_hits_with_m_evals(self):
-        params = _params(m=1, epsilon=0.5)
-        s = engine.init_swarm_explicit([0.0], [0.0], sphere())
-        r = engine.run_until_hit(s, params, sphere(), 1000, RngStream(1, trial=0))
+        s = _explicit([0.0], [0.0], sphere(), seed=1, epsilon=0.5)
+        r = engine.run_until_hit(s, 1000)
         assert r.hit and r.evals_at_hit == 1 and r.outcome == "hit"
 
     def test_budget_censoring(self):
-        params = _params(m=1, omega=0.5, epsilon=0.5)
-        s = engine.init_swarm_explicit([0.9], [-0.05], sphere())
-        r = engine.run_until_hit(s, params, sphere(), 500, RngStream(1, trial=0))
+        s = _explicit([0.9], [-0.05], sphere(), seed=1, omega=0.5, epsilon=0.5)
+        r = engine.run_until_hit(s, 500)
         assert not r.hit and r.outcome == "censored" and r.evals == 500
         assert r.final_gbest_value == pytest.approx(0.85**2, rel=1e-9)
+        assert type(r.final_gbest_value) is float
 
     def test_budget_below_m_rejected(self):
-        params = _params(m=3)
-        s = engine.init_swarm(params, sphere(), RngStream(1, trial=0))
+        s = engine.init_swarm(_params(m=3), sphere(), 1)
         with pytest.raises(ValueError):
-            engine.run_until_hit(s, params, sphere(), 2, RngStream(1, trial=0))
+            engine.run_until_hit(s, 2)
 
     def test_eval_accounting_multiple_of_m(self):
         params = _params(m=3, delta=0.05, epsilon=0.05)
-        f = sphere()
-        rng = RngStream(33, trial=5)
-        s = engine.init_swarm(params, f, rng)
-        r = engine.run_until_hit(s, params, f, 30_000, rng)
+        s = engine.init_swarm(params, sphere(), 33, trial=5)
+        r = engine.run_until_hit(s, 30_000)
         assert r.hit and r.evals_at_hit % 3 == 0 and r.evals_at_hit <= 30_000
 
     def test_trace_rows_schema(self):
         params = _params(m=2, n=2, epsilon=1e-9)
-        f = sphere()
-        rng = RngStream(2, trial=0)
-        s = engine.init_swarm(params, f, rng)
-        r = engine.run_until_hit(s, params, f, 20, rng, trace_stride=1)
+        s = engine.init_swarm(params, sphere(), 2)
+        r = engine.run_until_hit(s, 20, trace_stride=1)
         assert engine.TRAJECTORY_HEADER == "t,particle,dim,x,v,p,g,f_g"
         # (1 init + 9 steps) * m * n rows
         assert len(r.trace) == 10 * 2 * 2
@@ -164,20 +159,20 @@ class TestRunUntilHit:
 class TestBatchEquivalence:
     @pytest.mark.parametrize("delta", [0.0, 0.01])
     def test_engine_and_batch_bitwise_equal(self, delta):
+        # the kernel against the scalar reference, one RngStream draw at a time
         params = make_params(0.4, 1.5, 1.5, delta, 1, 1e-4, 3, 2)
         f = sphere()
         seed = 99
         trials = 5
         sw = batch.BatchSwarm(params, f, trials=trials, master_seed=seed)
-        states = [engine.init_swarm(params, f, RngStream(seed, trial=k))
-                  for k in range(trials)]
+        rngs = [RngStream(seed, trial=k) for k in range(trials)]
+        states = [ref_init(params, f, rngs[k]) for k in range(trials)]
         for k in range(trials):
             assert np.array_equal(states[k].positions, sw.X[k])
             assert np.array_equal(states[k].velocities, sw.V[k])
         for _ in range(60):
             sw.step()
-            states = [engine.step(states[k], params, f, RngStream(seed, trial=k))
-                      for k in range(trials)]
+            states = [ref_step(states[k], params, f, rngs[k]) for k in range(trials)]
             for k in range(trials):
                 assert np.array_equal(states[k].positions, sw.X[k])
                 assert np.array_equal(states[k].pbest_values, sw.fP[k])
@@ -193,8 +188,46 @@ class TestBatchEquivalence:
         for k in range(40):
             attempt = 0
             while True:
-                s = engine.init_swarm(params, f, RngStream(seed, trial=k), attempt=attempt)
+                s = ref_init(params, f, RngStream(seed, trial=k), attempt=attempt)
                 if (s.positions >= 0).any():
                     break
                 attempt += 1
             assert np.array_equal(s.positions, sw.X[k])
+
+    def test_draw_blocks_cross_boundaries_bitwise(self):
+        # 800 x 3 x 2 elements: blocks of 3 steps, so 10 steps cross 3 blocks
+        params = make_params(0.4, 1.5, 1.5, 0.01, 1, 1e-4, 3, 2)
+        f = sphere()
+        seed, trials = 31, 800
+        sw = batch.BatchSwarm(params, f, trials=trials, master_seed=seed)
+        assert sw._block_steps == 3
+        sampled = [0, 1, 417, 799]
+        rngs = {k: RngStream(seed, trial=k) for k in sampled}
+        states = {k: ref_init(params, f, rngs[k]) for k in sampled}
+        for t in range(10):
+            R, S, D = sw._draws()
+            assert np.array_equal(R, step_uniform(sw._base_r, t))
+            assert np.array_equal(S, step_uniform(sw._base_s, t))
+            assert np.array_equal(D, 0.01 * (step_uniform(sw._base_d, t) - 0.5))
+            sw.step()
+            for k in sampled:
+                states[k] = ref_step(states[k], params, f, rngs[k])
+                assert np.array_equal(states[k].positions, sw.X[k])
+                assert np.array_equal(states[k].velocities, sw.V[k])
+                assert np.array_equal(states[k].pbest_values, sw.fP[k])
+                assert np.array_equal(states[k].gbest_position, sw.G[k])
+        assert sw._block_start == 9
+
+
+def test_one_trial_swarm_is_trial_zero_of_the_batch():
+    # draw blocks of 2730 and 390 steps give the same trajectory
+    params = _params(m=3, n=2, delta=0.01, epsilon=1e-9)
+    f = sphere()
+    one = engine.init_swarm(params, f, 4)
+    many = batch.BatchSwarm(params, f, trials=7, master_seed=4)
+    for _ in range(40):
+        engine.step(one)
+        many.step()
+    assert np.array_equal(one.X[0], many.X[0])
+    assert np.array_equal(one.P[0], many.P[0])
+    assert one.fG[0] == many.fG[0]

@@ -211,14 +211,13 @@ class TestVarianceLimit:
 
 class TestSpectralRadius:
     def test_zero_matrix(self):
-        assert moments.spectral_radius(np.zeros((3, 3))) == 0.0
+        assert moments.char_cubic_radius(np.zeros((3, 3))) == 0.0
 
     def test_stable_block_below_one(self):
-        M = moments.moment_transition(_params(), 0.0, 0.0)
-        rho = moments.spectral_radius(moments.second_moment_block(M))
+        block = moments.second_moment_block(moments.moment_transition(_params(), 0.0, 0.0))
+        rho = moments.char_cubic_radius(block)
         assert rho < 1.0
-        assert rho == pytest.approx(
-            moments.char_cubic_radius(moments.second_moment_block(M)), abs=1e-9)
+        assert rho == pytest.approx(float(np.abs(np.linalg.eigvals(block)).max()), abs=1e-9)
 
     def test_boundary_radius_is_one(self):
         # root-find the stability boundary along the phi ray at omega = 0.4
@@ -233,7 +232,6 @@ class TestSpectralRadius:
         p = _params(omega=omega, phi1=lo, phi2=lo)
         block = moments.second_moment_block(moments.moment_transition(p, 0.0, 0.0))
         assert moments.char_cubic_radius(block) == pytest.approx(1.0, abs=1e-6)
-        assert moments.spectral_radius(block) == pytest.approx(1.0, abs=1e-6)
 
     def test_grid_radius_matches_scalar(self):
         omegas = np.array([0.1, 0.4, 0.8])
@@ -249,7 +247,7 @@ class TestSpectralRadius:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            moments.spectral_radius(np.zeros((2, 3)))
+            moments.char_cubic_radius(np.zeros((2, 3)))
 
 
 class TestRegionEquivalence:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from swarmlab import engine, stagnation
-from swarmlab.core import RngStream, make_params, sphere
+from swarmlab.core import make_params, sphere
 from swarmlab.stagnation import TwoParticleInit
 
 
@@ -216,23 +216,21 @@ class TestOneParticleTrajectory:
     def test_matches_engine_simulation(self):
         params = make_params(0.5, 1.5, 1.5, 0, 1, 0.5, 1, 1)
         f = sphere()
-        rng = RngStream(77, trial=0)
-        state = engine.init_swarm_explicit([0.9], [-0.05], f)
+        swarm = engine.init_swarm_explicit(params, f, 77, [0.9], [-0.05])
         for t in range(1, 2001):
-            state = engine.step(state, params, f, rng)
+            engine.step(swarm)
             x, v = stagnation.one_particle_trajectory(0.9, -0.05, 0.5, t)
-            assert state.positions[0, 0] == pytest.approx(x, rel=1e-12)
-            assert state.velocities[0, 0] == pytest.approx(v, rel=1e-12, abs=1e-300)
+            assert swarm.X[0, 0, 0] == pytest.approx(x, rel=1e-12)
+            assert swarm.V[0, 0, 0] == pytest.approx(v, rel=1e-12, abs=1e-300)
 
     def test_matches_engine_other_inertia(self):
         params = make_params(0.3, 1.5, 1.5, 0, 1, 0.5, 1, 1)
         f = sphere()
-        rng = RngStream(78, trial=0)
-        state = engine.init_swarm_explicit([0.8], [-0.1], f)
+        swarm = engine.init_swarm_explicit(params, f, 78, [0.8], [-0.1])
         for t in range(1, 1001):
-            state = engine.step(state, params, f, rng)
+            engine.step(swarm)
             x, v = stagnation.one_particle_trajectory(0.8, -0.1, 0.3, t)
-            assert state.positions[0, 0] == pytest.approx(x, rel=1e-12)
+            assert swarm.X[0, 0, 0] == pytest.approx(x, rel=1e-12)
 
     @given(st.floats(0.01, 0.38), st.floats(0.51, 3.0), st.floats(0.0, 0.99))
     @settings(max_examples=100, deadline=None)
