@@ -6,6 +6,10 @@ is a `BatchSwarm` with trials = 1.  Trial k of a batch draws from the same
 counter-based coordinates (master seed, purpose, trial, particle, dimension,
 step) as the pure-Python `RngStream`; tests check every trial bit for bit
 against a scalar reference step built on it.
+
+Because every draw is addressed by its coordinates, a batch can drop rows
+mid-run (`BatchSwarm.keep`) without changing what the remaining trials draw.
+`run_fht_batch` uses this to step only the trials that have not yet hit.
 """
 
 from __future__ import annotations
@@ -107,8 +111,30 @@ class BatchSwarm:
         self.values = values
         self.t = 0
         self.eval_count = params.m
-        self._block_steps = max(1, _BLOCK_ELEMENTS // max(1, trials * m * n))
+        self._block_steps = self._steps_per_block()
         self._block_start = self._block_end = 0
+
+    def _steps_per_block(self) -> int:
+        return max(1, _BLOCK_ELEMENTS // max(1, self.trials * self.params.m * self.params.n))
+
+    def keep(self, rows) -> None:
+        """Drop every trial but the given batch rows, in the given order.
+
+        The rows keep their stream bases, so each kept trial draws and moves
+        exactly as it would have in the full batch.  A pending draw block is
+        cut to the kept rows; the next block is sized for the narrower batch.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        for name in ("X", "V", "P", "fP", "G", "fG", "values",
+                     "_base_r", "_base_s", "_base_d"):
+            a = getattr(self, name)
+            if a is not None:
+                setattr(self, name, a[rows])
+        if self._block_end > self.t:
+            self._block = tuple(None if b is None else b[:, rows] for b in self._block)
+        self.trials = len(rows)
+        self._rows = np.arange(self.trials)
+        self._block_steps = self._steps_per_block()
 
     def _draws(self):
         """Attraction factors R, S and the noise term D (None when delta == 0)
@@ -161,6 +187,8 @@ class BatchSwarm:
 class FhtBatchResult:
     hit_evals: np.ndarray          # (trials,) int64; -1 when censored
     final_gbest_value: np.ndarray  # (trials,)
+    # (trials,) bool: a particle of the trial entered the position ball at some
+    # step of its own run, up to its hit or the budget; None when not tracked
     entered_position_ball: np.ndarray | None
     budget: int
 
@@ -169,12 +197,14 @@ def run_fht_batch(params: PsoParams, objective: ObjectiveFn, trials: int, budget
                   master_seed: int, *, trial_offset: int = 0, init: str = "random",
                   positions=None, velocities=None, require_nonneg_gbest: bool = False,
                   position_ball_radius: float | None = None) -> FhtBatchResult:
-    """First-hitting-time runs: step until every trial has an evaluated value
+    """First-hitting-time runs: step each trial until it has an evaluated value
     within epsilon of the optimum or the next sweep would exceed the budget.
 
     A hit records the eval_count after the sweep that produced it (the initial
-    m evaluations count as the first sweep).  Optionally tracks whether any
-    particle ever entered the position-space ball of the given radius.
+    m evaluations count as the first sweep).  A trial that hits leaves the
+    batch (`BatchSwarm.keep`), so only live trials are stepped; `live` maps
+    batch rows to trial ids.  Optionally tracks whether any particle entered
+    the position-space ball of the given radius during the trial's own run.
     """
     if budget < params.m:
         raise ValueError("budget must cover at least the initial evaluations")
@@ -182,29 +212,28 @@ def run_fht_batch(params: PsoParams, objective: ObjectiveFn, trials: int, budget
                        init=init, positions=positions, velocities=velocities,
                        require_nonneg_gbest=require_nonneg_gbest)
     opt = objective.optimum_value
-    track = position_ball_radius is not None
-    entered = np.zeros(trials, dtype=bool) if track else None
-
-    def ball_update(X):
-        r2 = np.sum(X * X, axis=2)
-        entered[:] = entered | (r2 <= position_ball_radius ** 2).any(axis=1)
-
+    entered = None
+    if position_ball_radius is not None:
+        entered = np.zeros(trials, dtype=bool)
+        r2_max = position_ball_radius ** 2
     hit_evals = np.full(trials, -1, dtype=np.int64)
     final_g = np.empty(trials)
-    inside = (np.abs(swarm.values - opt) < params.epsilon).any(axis=1)
-    hit_evals[inside] = swarm.eval_count
-    final_g[inside] = swarm.fG[inside]
-    if track:
-        ball_update(swarm.X)
-    while (hit_evals < 0).any() and swarm.eval_count + params.m <= budget:
+    live = np.arange(trials)
+    values = swarm.values
+    while True:
+        if entered is not None:
+            entered[live] |= (np.sum(swarm.X * swarm.X, axis=2) <= r2_max).any(axis=1)
+        hit = (np.abs(values - opt) < params.epsilon).any(axis=1)
+        if hit.any():
+            hit_evals[live[hit]] = swarm.eval_count
+            final_g[live[hit]] = swarm.fG[hit]
+            rows = np.flatnonzero(~hit)
+            live = live[rows]
+            swarm.keep(rows)
+        if live.size == 0 or swarm.eval_count + params.m > budget:
+            break
         values = swarm.step()
-        if track:
-            ball_update(swarm.X)
-        fresh = (hit_evals < 0) & (np.abs(values - opt) < params.epsilon).any(axis=1)
-        hit_evals[fresh] = swarm.eval_count
-        final_g[fresh] = swarm.fG[fresh]
-    censored = hit_evals < 0
-    final_g[censored] = swarm.fG[censored]
+    final_g[live] = swarm.fG
     return FhtBatchResult(hit_evals=hit_evals, final_gbest_value=final_g,
                           entered_position_ball=entered, budget=budget)
 

@@ -152,6 +152,14 @@ def resolve_config(args, required=()):
     missing = [k for k in required if k not in cfg]
     if missing:
         raise CliError(f"missing configuration keys: {', '.join(missing)}")
+    if cfg["init"] not in ("random", "explicit"):
+        raise CliError(f"init must be 'random' or 'explicit', got {cfg['init']!r}")
+    if cfg["init"] == "explicit" and "m" in cfg:
+        size = cfg["m"] * cfg["n"]
+        for key in ("positions", "velocities"):
+            got = len(cfg.get(key, ()))
+            if got != size:
+                raise CliError(f"explicit init needs {key} with m*n = {size} values, got {got}")
     return cfg
 
 
@@ -277,11 +285,10 @@ def cmd_fht(args) -> int:
     est = experiments.estimate_fht(config, threads=_threads(args))
     out = _out_dir(args)
     rows = ["trial,outcome,evals,final_g_value"]
-    for k in range(est.trials):
-        hit = est.hit_evals[k] >= 0
-        evals = int(est.hit_evals[k]) if hit else est.budget
-        rows.append(f"{k},{'hit' if hit else 'censored'},{evals},"
-                    f"{float(est.final_gbest_values[k])!r}")
+    for k, (evals, g) in enumerate(zip(est.hit_evals.tolist(),
+                                       est.final_gbest_values.tolist())):
+        rows.append(f"{k},hit,{evals},{g!r}" if evals >= 0
+                    else f"{k},censored,{est.budget},{g!r}")
     _write_lines(out / "fht.csv", rows)
     surv = ["evals,fraction_not_hit"]
     surv += [f"{e},{frac!r}" for e, frac in est.survival_curve]

@@ -125,7 +125,9 @@ def estimate_fht(config: ExperimentConfig, threads: int = 1,
     Censored trials are excluded from the hit-time statistics and reported
     separately; no imputation.  With threads > 1 the trial range is split into
     contiguous blocks whose results are concatenated in block order, so the
-    outcome is identical for any thread count.
+    outcome is identical for any thread count.  With position_ball_radius set,
+    `entered_position_ball` covers each trial's own run, up to its hit or the
+    budget, so it too is independent of the thread count.
     """
     f = config.objective_fn()
     pos, vel = (config.init_arrays() if config.init == "explicit" else (None, None))
@@ -153,11 +155,13 @@ def estimate_fht(config: ExperimentConfig, threads: int = 1,
     hit_mask = hit_evals >= 0
     hits = int(hit_mask.sum())
     times = hit_evals[hit_mask]
+    sorted_times = np.sort(times)
     if config.sampled_statistics:
         points = sorted(int(e) for e in config.sampled_statistics)
     else:
-        points = sorted(set(times.tolist())) + [config.budget]
-    curve = [(int(e), float(np.mean(~hit_mask | (hit_evals > e)))) for e in points]
+        points = np.unique(sorted_times).tolist() + [config.budget]
+    hit_by = np.searchsorted(sorted_times, points, side="right").tolist()
+    curve = [(e, (config.trials - k) / config.trials) for e, k in zip(points, hit_by)]
     lo, hi = wilson_interval(hits, config.trials)
     return FhtEstimate(
         trials=config.trials,

@@ -45,6 +45,21 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "fht"])
+    def test_unknown_init_mode(self, tmp_path, command):
+        rc = main([command, "--preset", "prop1-bad-init", "--override", "init=bogus",
+                   "--override", "trials=2", "--override", "budget=100",
+                   "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "fht"])
+    @pytest.mark.parametrize("key", ["positions", "velocities"])
+    def test_explicit_start_of_wrong_length(self, tmp_path, command, key):
+        rc = main([command, "--preset", "prop1-bad-init", "--override", f"{key}=0.1,0.2",
+                   "--override", "trials=2", "--override", "budget=100",
+                   "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+
     def test_unknown_demo(self, tmp_path):
         rc = main(["demo", "nope", "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 2

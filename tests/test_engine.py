@@ -8,6 +8,7 @@ from swarmlab.core import (
     counterexample,
     make_params,
     sphere,
+    sphere_plus,
     stream_base,
     step_uniform,
 )
@@ -231,3 +232,42 @@ def test_one_trial_swarm_is_trial_zero_of_the_batch():
     assert np.array_equal(one.X[0], many.X[0])
     assert np.array_equal(one.P[0], many.P[0])
     assert one.fG[0] == many.fG[0]
+
+
+class TestCompaction:
+    @pytest.mark.parametrize("n, objective, nonneg, epsilon, budget", [
+        (3, sphere, False, 1e-3, 250),        # 300 x 2 x 3: blocks of 9 steps
+        (1, sphere_plus, True, 1e-4, 40),     # 300 x 2 x 1: blocks of 27 steps
+    ])
+    def test_fht_batch_matches_one_trial_runs(self, n, objective, nonneg, epsilon, budget):
+        # hits land mid-block, so dropping finished trials cuts pending draw
+        # blocks; every trial must still run as it does on its own
+        params = make_params(0.6, 1.5, 1.5, 0.01, 1, epsilon, 2, n)
+        f = objective()
+        seed, trials = 21, 300
+        assert batch.BatchSwarm(params, f, trials, seed)._block_steps == 27 // n
+        full = batch.run_fht_batch(params, f, trials, budget, seed,
+                                   require_nonneg_gbest=nonneg, position_ball_radius=0.02)
+        hits = full.hit_evals[full.hit_evals >= 0]
+        assert len(set(hits.tolist())) > 10 and len(hits) < trials
+        for k in range(trials):
+            one = batch.run_fht_batch(params, f, 1, budget, seed, trial_offset=k,
+                                      require_nonneg_gbest=nonneg, position_ball_radius=0.02)
+            assert one.hit_evals[0] == full.hit_evals[k]
+            assert one.final_gbest_value[0] == full.final_gbest_value[k]
+            assert one.entered_position_ball[0] == full.entered_position_ball[k]
+
+    def test_keep_gathers_rows_and_resizes_blocks(self):
+        params = make_params(0.4, 1.5, 1.5, 0.01, 1, 1e-4, 3, 2)
+        f = sphere()
+        full = batch.BatchSwarm(params, f, trials=800, master_seed=31)
+        part = batch.BatchSwarm(params, f, trials=800, master_seed=31)
+        rows = [799, 3, 417]
+        for t in range(7):
+            full.step()
+            part.step()
+            if t == 1:   # mid-block: steps 0-2 were hashed together
+                part.keep(rows)
+                assert part.trials == 3 and part._block_steps == 2 ** 14 // 18
+        for name in ("X", "V", "P", "fP", "G", "fG", "values"):
+            assert np.array_equal(getattr(part, name), getattr(full, name)[rows])

@@ -90,6 +90,16 @@ class TestEstimateFht:
         assert np.array_equal(a.hit_evals, b.hit_evals)
         assert np.array_equal(a.final_gbest_values, b.final_gbest_values)
 
+    def test_position_ball_entries_do_not_depend_on_threads(self):
+        # a hit trial stops moving, whatever the other trials of its block do
+        p = make_params(0.6, 1.5, 1.5, 1e-3, 1, 1e-2, 2, 1)
+        cfg = ExperimentConfig(params=p, objective="sphere", trials=200,
+                               budget=20_000, master_seed=9)
+        a = experiments.estimate_fht(cfg, threads=1, position_ball_radius=1e-3)
+        b = experiments.estimate_fht(cfg, threads=2, position_ball_radius=1e-3)
+        assert np.array_equal(a.entered_position_ball, b.entered_position_ball)
+        assert a.entered_position_ball.any()
+
     def test_censored_fraction_non_increasing_in_budget(self):
         p = _noisy_params(delta=0.005, epsilon=0.002)
         censored = []
