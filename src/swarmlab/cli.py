@@ -160,6 +160,11 @@ def resolve_config(args, required=()):
             got = len(cfg.get(key, ()))
             if got != size:
                 raise CliError(f"explicit init needs {key} with m*n = {size} values, got {got}")
+    # the objective itself rejects an unknown name or a dimension it does not take
+    try:
+        get_objective(cfg["objective"]).batch_evaluate(np.zeros((1, max(1, cfg["n"]))))
+    except ValueError as exc:
+        raise CliError(f"invalid objective: {exc}") from None
     return cfg
 
 

@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion at its stated scale and tolerance, one
 printed pass/fail line per criterion.
 
-The full module takes a few minutes single-threaded (the two-particle demo at
-10^4 trials x 10^5 steps dominates).  Run with `pytest tests/test_acceptance.py
+The full module takes about four minutes on a 2-core machine.  The largest
+part is criterion 4, the two-particle demo at 10^4 trials x 10^5 steps: about
+100 s there, against its 300 s gate.  Run with `pytest tests/test_acceptance.py
 -v -s` to see the per-criterion lines as they complete.
 """
 

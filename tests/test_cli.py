@@ -60,6 +60,22 @@ class TestExitCodes:
                    "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command, preset, overrides", [
+        ("fht", "noisy-sphereplus", ["objective=bogus"]),
+        ("simulate", "prop1-bad-init", ["objective=bogus"]),
+        ("fht", "noisy-sphereplus", ["n=3"]),
+        ("simulate", "noisy-sphereplus", ["n=2"]),
+        ("fht", "prop1-bad-init", ["objective=counterexample", "n=2",
+                                   "positions=0.1,0.2", "velocities=0,0"]),
+    ])
+    def test_objective_invalid_for_configuration(self, tmp_path, command, preset,
+                                                 overrides):
+        args = [command, "--preset", preset, "--override", "trials=2",
+                "--override", "budget=100", "--seed", "1", "--out", str(tmp_path / "o")]
+        for item in overrides:
+            args += ["--override", item]
+        assert main(args) == 2
+
     def test_unknown_demo(self, tmp_path):
         rc = main(["demo", "nope", "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 2

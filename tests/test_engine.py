@@ -234,6 +234,34 @@ def test_one_trial_swarm_is_trial_zero_of_the_batch():
     assert one.fG[0] == many.fG[0]
 
 
+class TestGlobalBestSweep:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_argmin_and_gather_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        trials, n = 600, 2
+        P = rng.normal(size=(trials, m, n))
+        # a few levels force ties (-0.0 ties with 0.0); the first rows are all
+        # +inf, as a sphere_plus start with every particle negative
+        levels = np.array([-0.0, 0.0, 1.0, 2.5, np.inf])
+        fP = np.where(rng.random((trials, m)) < 0.6,
+                      levels[rng.integers(0, len(levels), (trials, m))],
+                      rng.normal(size=(trials, m)))
+        fP[:40] = np.inf
+        P_before, fP_before = P.copy(), fP.copy()
+        G, fG = batch._global_best(P, fP)
+        rows, gi = np.arange(trials), np.argmin(fP, axis=1)
+        assert G.shape == (trials, n) and fG.shape == (trials,)
+        assert G.tobytes() == P[rows, gi].tobytes()
+        assert fG.tobytes() == fP[rows, gi].tobytes()
+        assert P.tobytes() == P_before.tobytes() and fP.tobytes() == fP_before.tobytes()
+        tied_rows = 0
+        for k in range(trials):
+            lowest = np.flatnonzero(fP[k] == fP[k].min())
+            tied_rows += len(lowest) > 1
+            assert G[k].tobytes() == P[k, lowest[0]].tobytes()
+        assert tied_rows >= (40 if m > 1 else 0)
+
+
 class TestCompaction:
     @pytest.mark.parametrize("n, objective, nonneg, epsilon, budget", [
         (3, sphere, False, 1e-3, 250),        # 300 x 2 x 3: blocks of 9 steps

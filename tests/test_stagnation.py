@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from swarmlab import engine, stagnation
+from swarmlab import batch, engine, stagnation
 from swarmlab.core import make_params, sphere
 from swarmlab.stagnation import TwoParticleInit
 
@@ -249,3 +249,47 @@ class TestOneParticleTrajectory:
         # documented gap: omega = 0.5 admits event members that cross the target
         assert stagnation.bad_init_event(0.8, -0.5, 0.5, 0.5, 1.0)
         assert stagnation.one_particle_limit(0.8, -0.5, 0.5) < 0.5
+
+
+class TestTwoParticleDemoBookkeeping:
+    def test_every_field_matches_a_per_step_recomputation(self):
+        # with a little noise, each of the four sign prerequisites is the first
+        # to break in some trial, and each particle alone enters the ball in
+        # some trial while others never enter it
+        params = make_params(0.6, 0.0, 1.5, 0.002, 200.0, 0.5, 2, 1)
+        x0, v0 = (2.0, 3.0), (-0.1, -0.3)
+        trials, steps, seed, radius = 64, 220, 11, 5e-6
+        times = tuple(range(0, steps + 1, 5))
+        res = batch.run_two_particle_demo(params, sphere(), x0, v0, trials, steps,
+                                          seed, radius, times)
+        sw = batch.BatchSwarm(params, sphere(), trials, seed, init="explicit",
+                              positions=x0, velocities=v0)
+        entered = [False] * trials
+        sum_abs_v = [[0.0, 0.0] for _ in range(trials)]
+        valid = [True] * trials
+        min_pos = [float("inf")] * trials
+        d_abs_at, valid_at = {}, {}
+        for t in range(steps + 1):
+            if t > 0:
+                sw.step()
+            X, V = sw.X[:, :, 0].tolist(), sw.V[:, :, 0].tolist()
+            for k, ((a, b), (va, vb)) in enumerate(zip(X, V)):
+                entered[k] = entered[k] or abs(a) <= radius or abs(b) <= radius
+                sum_abs_v[k][0] += abs(va)
+                sum_abs_v[k][1] += abs(vb)
+                valid[k] = valid[k] and a >= 0 and b >= 0 and va <= 0 and vb <= 0
+                min_pos[k] = min(min_pos[k], a, b)
+            if t in times:
+                d_abs_at[t] = [abs(b - a) for a, b in X]
+                valid_at[t] = list(valid)
+        assert res.steps == steps
+        assert res.entered_ball.tolist() == entered
+        assert res.sum_abs_v.tolist() == sum_abs_v
+        assert res.min_position.tolist() == min_pos
+        assert sorted(res.d_abs_at) == sorted(res.valid_at) == list(times)
+        for t in times:
+            assert res.d_abs_at[t].tolist() == d_abs_at[t]
+            assert res.valid_at[t].tolist() == valid_at[t]
+        assert 0 < sum(entered) < trials
+        assert all(valid_at[0]) and not any(valid_at[steps])
+        assert any(0 < sum(valid_at[t]) < trials for t in times)
