@@ -15,6 +15,15 @@ costs m - 1 elementwise passes instead of an index computation.
 Because every draw is addressed by its coordinates, a batch can drop rows
 mid-run (`BatchSwarm.keep`) without changing what the remaining trials draw.
 `run_fht_batch` uses this to step only the trials that have not yet hit.
+
+At narrow shapes (about 100 trials) a step costs its numpy calls, not its
+arithmetic, so the loops keep the calls per step few without moving a bit:
+each draw block is scaled by phi1 and phi2 once; a step in which no personal
+best improves (frozen or stagnating bests) leaves every best as it is without
+recomputing it; `step` keeps its strict-improvement mask as `improved` for
+runners that count updates; and hits are read off the (trials,) global-best
+value, which the `ObjectiveFn` contract (no value below the optimum value)
+makes the same test as one on every fresh value.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .core import (
     PURPOSE_NOISE,
     PURPOSE_R,
     PURPOSE_S,
+    _sphere_batch,
     step_uniform,
     stream_base,
 )
@@ -113,6 +123,9 @@ class BatchSwarm:
             if X0.shape not in ((m, n), (trials, m, n)) or V0.shape != X0.shape:
                 raise ValueError(f"explicit init must have shape ({m}, {n}) "
                                  f"or ({trials}, {m}, {n})")
+            if np.isnan(X0).any():
+                # a NaN value would break the `ObjectiveFn` contract the bests rest on
+                raise ValueError("explicit init positions must not be NaN")
             X = np.broadcast_to(X0, (trials, m, n)).copy()
             V = np.broadcast_to(V0, (trials, m, n)).copy()
         else:
@@ -124,6 +137,7 @@ class BatchSwarm:
         self.fP = values.copy()
         self.G, self.fG = _global_best(self.P, self.fP)
         self.values = values
+        self.improved = None   # (trials, m) personal-best updates of the last step
         self.t = 0
         self.eval_count = params.m
         self._block_steps = self._steps_per_block()
@@ -140,7 +154,7 @@ class BatchSwarm:
         cut to the kept rows; the next block is sized for the narrower batch.
         """
         rows = np.asarray(rows, dtype=np.intp)
-        for name in ("X", "V", "P", "fP", "G", "fG", "values",
+        for name in ("X", "V", "P", "fP", "G", "fG", "values", "improved",
                      "_base_r", "_base_s", "_base_d"):
             a = getattr(self, name)
             if a is not None:
@@ -151,19 +165,22 @@ class BatchSwarm:
         self._block_steps = self._steps_per_block()
 
     def _draws(self):
-        """Attraction factors R, S and the noise term D (None when delta == 0)
-        of step t, from a block of `_block_steps` steps hashed in one call."""
+        """Scaled attraction factors phi1 * R and phi2 * S and the noise term D
+        (None when delta == 0) of step t, from a block of `_block_steps` steps
+        hashed and scaled in one call each."""
         if self.t >= self._block_end:
+            p = self.params
             steps = np.arange(self.t, self.t + self._block_steps, dtype=np.uint64)
             steps = steps.reshape(-1, 1, 1, 1)
             D = None
             if self._base_d is not None:
-                D = self.params.delta * (step_uniform(self._base_d, steps) - 0.5)
-            self._block = (step_uniform(self._base_r, steps),
-                           step_uniform(self._base_s, steps), D)
+                D = p.delta * (step_uniform(self._base_d, steps) - 0.5)
+            self._block = (p.phi1 * step_uniform(self._base_r, steps),
+                           p.phi2 * step_uniform(self._base_s, steps), D)
             self._block_start, self._block_end = self.t, self.t + self._block_steps
         k = self.t - self._block_start
-        return tuple(None if b is None else b[k] for b in self._block)
+        R, S, D = self._block
+        return R[k], S[k], None if D is None else D[k]
 
     def step(self) -> np.ndarray:
         """Advance every trial one step; returns the fresh (trials, m) values.
@@ -171,28 +188,31 @@ class BatchSwarm:
         Fresh attraction factors are drawn per (particle, dimension); when
         delta > 0 an independent uniform noise term on [-delta/2, delta/2] is
         added to each velocity component.  Personal bests update on strict
-        improvement only.  Then the global best is the lowest-index particle
-        with the least updated personal-best value, found by a strict-`<`
-        sweep over the particles (every particle saw the pre-step best).
+        improvement only; the mask of those updates is kept as `improved`.
+        Then the global best is the lowest-index particle with the least
+        updated personal-best value, found by a strict-`<` sweep over the
+        particles (every particle saw the pre-step best).  When no personal
+        best improved, P, fP, G and fG keep their arrays.
         """
-        p = self.params
+        # R and S come scaled by phi1 and phi2: Python evaluates
+        # phi1 * R * (P - X) as (phi1 * R) * (P - X), so no bit moves
         R, S, D = self._draws()
-        V = (p.omega * self.V
-             + p.phi1 * R * (self.P - self.X)
-             + p.phi2 * S * (self.G[:, None, :] - self.X))
+        X = self.X
+        V = (self.params.omega * self.V
+             + R * (self.P - X)
+             + S * (self.G[:, None, :] - X))
         if D is not None:
-            V = V + D
-        X = self.X + V
+            V += D
+        X = X + V
         values = self.objective.batch_evaluate(X)
         improved = values < self.fP
-        self.P = np.where(improved[:, :, None], X, self.P)
-        self.fP = np.where(improved, values, self.fP)
-        self.G, self.fG = _global_best(self.P, self.fP)
-        self.X = X
-        self.V = V
-        self.values = values
+        if np.count_nonzero(improved):   # else every best stays as it is
+            self.P = np.where(improved[:, :, None], X, self.P)
+            self.fP = np.where(improved, values, self.fP)
+            self.G, self.fG = _global_best(self.P, self.fP)
+        self.X, self.V, self.values, self.improved = X, V, values, improved
         self.t += 1
-        self.eval_count += p.m
+        self.eval_count += self.params.m
         return values
 
 
@@ -214,39 +234,50 @@ def run_fht_batch(params: PsoParams, objective: ObjectiveFn, trials: int, budget
     within epsilon of the optimum or the next sweep would exceed the budget.
 
     A hit records the eval_count after the sweep that produced it (the initial
-    m evaluations count as the first sweep).  A trial that hits leaves the
-    batch (`BatchSwarm.keep`), so only live trials are stepped; `live` maps
-    batch rows to trial ids.  Optionally tracks whether any particle entered
-    the position-space ball of the given radius during the trial's own run.
+    m evaluations count as the first sweep).  Because no value lies below the
+    optimum value (see `ObjectiveFn`), a trial's first value within epsilon is
+    a strict improvement on all before it, so the test reads the global-best
+    value alone.  A trial that hits leaves the batch (`BatchSwarm.keep`), so
+    only live trials are stepped; `live` maps batch rows to trial ids.
+    Optionally tracks whether any particle entered the position-space ball of
+    the given radius during the trial's own run, through the least squared
+    norm each particle has had.
     """
     if budget < params.m:
         raise ValueError("budget must cover at least the initial evaluations")
     swarm = BatchSwarm(params, objective, trials, master_seed, trial_offset,
                        init=init, positions=positions, velocities=velocities,
                        require_nonneg_gbest=require_nonneg_gbest)
-    opt = objective.optimum_value
-    entered = None
+    opt, eps = objective.optimum_value, params.epsilon
+    entered = least_sq = None
     if position_ball_radius is not None:
         entered = np.zeros(trials, dtype=bool)
         r2_max = position_ball_radius ** 2
+        # per batch row and particle; fmin skips a NaN norm, as <= r2_max would
+        least_sq = np.full((trials, params.m), np.inf)
     hit_evals = np.full(trials, -1, dtype=np.int64)
     final_g = np.empty(trials)
     live = np.arange(trials)
-    values = swarm.values
     while True:
-        if entered is not None:
-            entered[live] |= (np.sum(swarm.X * swarm.X, axis=2) <= r2_max).any(axis=1)
-        hit = (np.abs(values - opt) < params.epsilon).any(axis=1)
-        if hit.any():
-            hit_evals[live[hit]] = swarm.eval_count
-            final_g[live[hit]] = swarm.fG[hit]
+        if least_sq is not None:
+            np.fmin(least_sq, _sphere_batch(swarm.X), out=least_sq)
+        hit = swarm.fG - opt < eps
+        if np.count_nonzero(hit):
+            done = live[hit]
+            hit_evals[done] = swarm.eval_count
+            final_g[done] = swarm.fG[hit]
             rows = np.flatnonzero(~hit)
             live = live[rows]
             swarm.keep(rows)
+            if least_sq is not None:
+                entered[done] = (least_sq[hit] <= r2_max).any(axis=1)
+                least_sq = least_sq[rows]
         if live.size == 0 or swarm.eval_count + params.m > budget:
             break
-        values = swarm.step()
+        swarm.step()
     final_g[live] = swarm.fG
+    if least_sq is not None:
+        entered[live] = (least_sq <= r2_max).any(axis=1)
     return FhtBatchResult(hit_evals=hit_evals, final_gbest_value=final_g,
                           entered_position_ball=entered, budget=budget)
 
@@ -335,9 +366,9 @@ def run_counterexample_batch(params: PsoParams, objective: ObjectiveFn,
     s2 = np.zeros(trials)
     start = steps - window
     for t in range(steps):
-        prev = swarm.fP.copy()
-        values = swarm.step()
-        updates += values < prev
+        swarm.step()
+        if np.count_nonzero(swarm.improved):   # the bool-to-int add costs more
+            updates += swarm.improved
         if t >= start:
             x2 = swarm.X[:, 1, 0]
             s1 += x2

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import engine, experiments, moments, regions
 from .core import PsoParams, get_objective, make_params
-from .stagnation import TwoParticleInit
+from .stagnation import TwoParticleInit, velocity_sum_bound
 
 __all__ = ["main"]
 
@@ -160,6 +160,8 @@ def resolve_config(args, required=()):
             got = len(cfg.get(key, ()))
             if got != size:
                 raise CliError(f"explicit init needs {key} with m*n = {size} values, got {got}")
+        if np.isnan(cfg["positions"]).any():
+            raise CliError("explicit init positions must not be NaN")
     # the objective itself rejects an unknown name or a dimension it does not take
     try:
         get_objective(cfg["objective"]).batch_evaluate(np.zeros((1, max(1, cfg["n"]))))
@@ -334,6 +336,12 @@ def cmd_stagnate(args) -> int:
     seed = _resolve_seed(args)
     init = TwoParticleInit(x1=cfg["positions"][0], x2=cfg["positions"][1],
                            v1=cfg["velocities"][0], v2=cfg["velocities"][1])
+    # the report states this bound; its conditions (0 < omega < 1, phi2 > 0,
+    # kappa < 1) are checked here, before the simulation, not after it
+    try:
+        velocity_sum_bound(params, init)
+    except ValueError as exc:
+        raise CliError(f"stagnate: {exc}") from None
     report = experiments.stagnation_demo_two_particles(
         params, init, trials=cfg["trials"], steps=cfg["steps"], master_seed=seed,
         ball_radius=cfg.get("ball_radius"))

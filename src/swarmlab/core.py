@@ -96,9 +96,14 @@ def make_params(omega, phi1, phi2, delta, alpha, epsilon, m, n) -> PsoParams:
 class ObjectiveFn:
     """An evaluatable objective with known optimum value.
 
-    batch_evaluate maps an (..., n) array to a (...) array (values may be
-    +inf) and is the one definition of the objective; evaluate is its view on
-    a single length-n vector, returning a float.
+    batch_evaluate maps an (..., n) array to a (...) array and is the one
+    definition of the objective; evaluate is its view on a single length-n
+    vector, returning a float.
+
+    Every value is >= optimum_value; +inf is allowed, and no input without a
+    NaN gives a NaN.  The hit tests rest on this: a trial's first value
+    within epsilon of the optimum value is then below every value before it,
+    so it is a strict improvement and shows in the global-best value.
     """
 
     name: str
@@ -114,6 +119,10 @@ def _objective(name: str, optimum_value: float, batch_evaluate) -> ObjectiveFn:
 
 
 def _sphere_batch(X: np.ndarray) -> np.ndarray:
+    if X.shape[-1] == 1:
+        # a one-element sum is its element: the same bits for one call
+        x = X[..., 0]
+        return x * x
     return np.sum(X * X, axis=-1)
 
 
@@ -158,7 +167,10 @@ def monotone_transform(f: ObjectiveFn, g: Callable, name: str | None = None) -> 
 
     g must accept floats and numpy arrays and map +inf to +inf.  Because the
     swarm update is comparison-based, any such transform leaves every
-    best-position decision unchanged.
+    best-position decision unchanged.  It keeps the `ObjectiveFn` contract:
+    f >= f.optimum_value gives g(f) >= g(f.optimum_value), the new optimum
+    value, as long as g does not decrease under rounding either and gives the
+    same double for a float as for an array element.
     """
     return _objective(name or f"g({f.name})", float(g(f.optimum_value)),
                       lambda X: g(f.batch_evaluate(X)))
@@ -206,11 +218,17 @@ def _mix64(h: int) -> int:
 
 
 def _mix64_np(h: np.ndarray) -> np.ndarray:
-    """Vectorised twin of _mix64 on uint64 arrays; bit-identical output."""
+    """Vectorised twin of _mix64 on uint64 arrays; bit-identical output.
+
+    After the first addition it works in place on its own copy, which saves
+    an allocation per operation (and page faults on large arrays)."""
     h = h + np.uint64(_GOLDEN)
-    h = (h ^ (h >> np.uint64(30))) * np.uint64(_MIX_A)
-    h = (h ^ (h >> np.uint64(27))) * np.uint64(_MIX_B)
-    return h ^ (h >> np.uint64(31))
+    h ^= h >> np.uint64(30)
+    h *= np.uint64(_MIX_A)
+    h ^= h >> np.uint64(27)
+    h *= np.uint64(_MIX_B)
+    h ^= h >> np.uint64(31)
+    return h
 
 
 @dataclass(frozen=True)
@@ -266,4 +284,7 @@ def step_uniform(base: np.ndarray, step) -> np.ndarray:
     """Uniform [0, 1) array for one step index against a precomputed base;
     a uint64 array of steps broadcast against `base` hashes several at once."""
     h = _mix64_np(base ^ np.uint64(step))
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    h >>= np.uint64(11)
+    u = h.astype(np.float64)
+    u *= 2.0 ** -53
+    return u

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .batch import BatchSwarm
 from .core import ObjectiveFn, PsoParams
 
@@ -99,7 +97,9 @@ def run_until_hit(swarm: BatchSwarm, budget: int,
     if trace is not None:
         trace.extend(trajectory_rows(swarm))
     while True:
-        if np.any(np.abs(swarm.values[0] - opt) < epsilon):
+        # no value lies below the optimum value, so the first value within
+        # epsilon is a strict improvement and shows in the global best
+        if swarm.fG[0] - opt < epsilon:
             return TrialResult(True, swarm.eval_count, budget, float(swarm.fG[0]), trace)
         if swarm.eval_count + m > budget:
             return TrialResult(False, None, budget, float(swarm.fG[0]), trace)

@@ -51,6 +51,11 @@ def ref_init(params, f, rng: RngStream, attempt: int = 0) -> RefState:
     return _with_bests(X, V, f, 0)
 
 
+def ref_explicit(f, X, V) -> RefState:
+    """A given (m, n) start."""
+    return _with_bests(np.array(X, dtype=np.float64), np.array(V, dtype=np.float64), f, 0)
+
+
 def ref_step(s: RefState, params, f, rng: RngStream) -> RefState:
     """One synchronous update: strict-improvement personal bests, then the
     global best from the updated personal bests."""

@@ -60,6 +60,13 @@ class TestExitCodes:
                    "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "fht"])
+    def test_explicit_start_at_nan(self, tmp_path, command):
+        rc = main([command, "--preset", "prop1-bad-init", "--override", "positions=nan",
+                   "--override", "trials=2", "--override", "budget=100",
+                   "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+
     @pytest.mark.parametrize("command, preset, overrides", [
         ("fht", "noisy-sphereplus", ["objective=bogus"]),
         ("simulate", "prop1-bad-init", ["objective=bogus"]),
@@ -79,6 +86,23 @@ class TestExitCodes:
     def test_unknown_demo(self, tmp_path):
         rc = main(["demo", "nope", "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    # omega = 0.6 gives kappa = 1.64, so the velocity-sum series diverges;
+    # omega = 1.2 and phi2 = 0 break the bound's other conditions
+    @pytest.mark.parametrize("override", ["omega=0.6", "omega=1.2", "phi2=0"])
+    def test_stagnate_checks_bound_conditions_before_simulating(self, tmp_path,
+                                                                monkeypatch, override):
+        from swarmlab import experiments
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("stagnate simulated before checking its bound")
+
+        monkeypatch.setattr(experiments, "stagnation_demo_two_particles", simulate)
+        rc = main(["stagnate", "--preset", "thm2-example", "--override", override,
+                   "--override", "trials=10", "--override", "steps=10",
+                   "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestReproducibility:

@@ -163,3 +163,68 @@ class TestMonotoneTransform:
             engine.step(s2)
         assert np.array_equal(s1.X, s2.X)
         assert np.array_equal(s1.P, s2.P)
+
+
+# zeros, subnormals, squares that underflow or overflow, infinities
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                     1e-160, -1e-170, 1e154, -1.4e154, 1e200, -1.7976931348623157e308,
+                     np.inf, -np.inf, 1.0, -1.0, 0.5])
+
+
+def _contract_inputs(n, rng):
+    """Random (k, n) inputs over many magnitudes plus every special value in
+    every coordinate."""
+    scale = 10.0 ** rng.uniform(-200, 200, (4000, n))
+    X = np.concatenate([rng.normal(size=(4000, n)) * scale,
+                        rng.choice(_SPECIAL, size=(4000, n))])
+    return X
+
+
+class TestObjectiveContract:
+    # the hit tests read the global-best value alone; that rests on every
+    # value being >= the optimum value (+inf allowed, no NaN)
+    @pytest.mark.parametrize("name, f, dims", [
+        ("sphere", sphere(), (1, 2, 3, 8)),
+        ("sphere_plus", sphere_plus(), (1,)),
+        ("counterexample", counterexample(), (1,)),
+        ("sqrt(sphere)", monotone_transform(sphere(), lambda y: np.sqrt(y) - 2.0), (1, 3)),
+        ("10^counterexample", monotone_transform(counterexample(), lambda y: 10.0 ** y), (1,)),
+    ])
+    def test_no_value_below_the_optimum_value(self, name, f, dims):
+        rng = np.random.default_rng(len(name))
+        for n in dims:
+            X = _contract_inputs(n, rng)
+            with np.errstate(over="ignore"):
+                values = f.batch_evaluate(X)
+                scalar = [f.evaluate(x) for x in X[::97]]
+            assert values.shape == (len(X),)
+            assert not np.isnan(values).any()
+            assert (values >= f.optimum_value).all()
+            assert (values == f.optimum_value).any()
+            assert all(v >= f.optimum_value for v in scalar)
+
+
+class TestSphereBatch:
+    def test_one_dimension_is_the_sum_bit_for_bit(self):
+        rng = np.random.default_rng(1)
+        specials = np.concatenate([_SPECIAL, [np.nan, -np.nan, 1e-162, 1.5e-154]])
+        x = np.concatenate([specials, rng.normal(size=500) * 10.0 ** rng.uniform(-200, 200, 500)])
+        # (k, 1), (trials, m, 1) and one length-1 vector
+        for X in (x[:, None], x[:510].reshape(-1, 3, 1), x[:1]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = core._sphere_batch(X)
+                want = np.sum(X * X, axis=-1)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        with np.errstate(over="ignore"):
+            assert np.isinf(core._sphere_batch(np.array([[1e200]])))[0]
+
+    def test_eight_dimensions_keep_numpy_pairwise_sum(self):
+        # from n = 8 numpy sums pairwise, which a left-to-right sum does not
+        # reproduce; the objective must keep numpy's order there
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(2000, 8)) * 10.0 ** rng.uniform(-4, 4, (2000, 8))
+        want = np.sum(X * X, axis=-1)
+        left_to_right = np.array([sum(row) for row in (X * X).tolist()])
+        assert (want != left_to_right).any()
+        assert core._sphere_batch(X).tobytes() == want.tobytes()

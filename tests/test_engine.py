@@ -7,13 +7,14 @@ from swarmlab.core import (
     RngStream,
     counterexample,
     make_params,
+    monotone_transform,
     sphere,
     sphere_plus,
     stream_base,
     step_uniform,
 )
 
-from scalar_reference import ref_init, ref_step
+from scalar_reference import ref_explicit, ref_init, ref_step
 
 
 def _params(**kw):
@@ -54,6 +55,11 @@ class TestInit:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             engine.init_swarm_explicit(_params(m=2), sphere(), 0, [1.0, 2.0], [0.0])
+
+    def test_nan_position_rejected(self):
+        # its value would be NaN, which no objective may return
+        with pytest.raises(ValueError):
+            engine.init_swarm_explicit(_params(m=2), sphere(), 0, [0.5, np.nan], [0.0, 0.0])
 
     def test_argmin_tie_breaks_to_lowest_index(self):
         s = _explicit([2.0, -2.0, 3.0], [0.0, 0.0, 0.0], sphere())
@@ -206,9 +212,9 @@ class TestBatchEquivalence:
         rngs = {k: RngStream(seed, trial=k) for k in sampled}
         states = {k: ref_init(params, f, rngs[k]) for k in sampled}
         for t in range(10):
-            R, S, D = sw._draws()
-            assert np.array_equal(R, step_uniform(sw._base_r, t))
-            assert np.array_equal(S, step_uniform(sw._base_s, t))
+            R, S, D = sw._draws()   # R and S come scaled by phi1 and phi2
+            assert np.array_equal(R, 1.5 * step_uniform(sw._base_r, t))
+            assert np.array_equal(S, 1.5 * step_uniform(sw._base_s, t))
             assert np.array_equal(D, 0.01 * (step_uniform(sw._base_d, t) - 0.5))
             sw.step()
             for k in sampled:
@@ -297,5 +303,127 @@ class TestCompaction:
             if t == 1:   # mid-block: steps 0-2 were hashed together
                 part.keep(rows)
                 assert part.trials == 3 and part._block_steps == 2 ** 14 // 18
-        for name in ("X", "V", "P", "fP", "G", "fG", "values"):
-            assert np.array_equal(getattr(part, name), getattr(full, name)[rows])
+            for name in ("X", "V", "P", "fP", "G", "fG", "values", "improved"):
+                want = getattr(full, name)
+                assert np.array_equal(getattr(part, name), want[rows] if t >= 1 else want)
+
+
+def _replay_old_hit_rule(params, f, state, rng, budget, radius):
+    """(evals at the hit or -1, final global-best value, whether a particle
+    came within `radius` of the origin) of one scalar reference run under the
+    rule any(|values - opt| < epsilon), applied to every sweep's fresh values,
+    the initial sweep included."""
+    m, opt = params.m, f.optimum_value
+    evals, entered = m, False
+    while True:
+        entered |= any(np.sum(x * x) <= radius ** 2 for x in state.positions)
+        values = np.array([f.evaluate(x) for x in state.positions])
+        if np.any(np.abs(values - opt) < params.epsilon):
+            return evals, state.gbest_value, entered
+        if evals + m > budget:
+            return -1, state.gbest_value, entered
+        state = ref_step(state, params, f, rng)
+        evals += m
+
+
+def _check_hit_rule(params, f, trials, budget, seed, nonneg=False, X0=None, V0=None,
+                    radius=0.1):
+    """run_fht_batch and run_until_hit against the scalar replay; returns the
+    replayed hit evals and position-ball entries."""
+    explicit = X0 is not None
+    init = "explicit" if explicit else "random"
+    full = batch.run_fht_batch(params, f, trials, budget, seed, init=init,
+                               positions=X0, velocities=V0, require_nonneg_gbest=nonneg,
+                               position_ball_radius=radius)
+    want = []
+    for k in range(trials):
+        rng = RngStream(seed, trial=k)
+        if explicit:
+            state = ref_explicit(f, X0[k], V0[k])
+            one = batch.BatchSwarm(params, f, 1, seed, k, init="explicit",
+                                   positions=X0[k], velocities=V0[k])
+        else:
+            attempt = 0
+            state = ref_init(params, f, rng)
+            while nonneg and not (state.positions >= 0).any():
+                attempt += 1
+                state = ref_init(params, f, rng, attempt=attempt)
+            one = engine.init_swarm(params, f, seed, trial=k, require_nonneg_gbest=nonneg)
+        evals, gbest, entered = _replay_old_hit_rule(params, f, state, rng, budget, radius)
+        r = engine.run_until_hit(one, budget)
+        assert (full.hit_evals[k], full.final_gbest_value[k]) == (evals, gbest)
+        assert full.entered_position_ball[k] == entered
+        assert (r.evals_at_hit if r.hit else -1, r.final_gbest_value) == (evals, gbest)
+        want.append((evals, entered))
+    evals, entered = np.array(want).T
+    return evals, entered.astype(bool)
+
+
+class TestHitRule:
+    # hits are read off the global-best value; the replays apply the rule on
+    # every fresh value, which agrees because no value is below the optimum
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name, f, nonneg, n, epsilon, radius", [
+        ("sphere", sphere(), False, 2, 0.05, 0.1),
+        ("sphere_plus", sphere_plus(), True, 1, 0.004, 0.05),
+        ("sqrt(sphere) - 2", monotone_transform(sphere(), lambda y: np.sqrt(y) - 2.0),
+         False, 1, 0.02, 0.01),
+    ])
+    def test_random_starts_match_the_scalar_replay(self, m, name, f, nonneg, n, epsilon,
+                                                   radius):
+        # phi1 != phi2, so the scaled draw blocks must keep the two apart
+        params = make_params(0.6, 1.3, 1.7, 0.01, 1, epsilon, m, n)
+        budget = 8 * m
+        evals, entered = _check_hit_rule(params, f, 40, budget, 70 + m, nonneg=nonneg,
+                                         radius=radius)
+        assert (evals == m).any()                        # hits at the initial sweep
+        assert ((evals > m) & (evals <= budget)).any()   # hits while stepping
+        assert (evals == -1).any()                       # censored
+        assert entered[evals > 0].any() and not entered.all()
+
+    @pytest.mark.parametrize("name, f", [
+        ("sphere", sphere()),
+        ("sqrt(sphere) + 1", monotone_transform(sphere(), lambda y: np.sqrt(y) + 1.0)),
+    ])
+    def test_a_value_exactly_epsilon_above_the_optimum_is_no_hit(self, name, f):
+        # at x = 0.5 both objectives are exactly epsilon above their optimum;
+        # a swarm at rest there never moves
+        epsilon = f.evaluate(np.array([0.5])) - f.optimum_value
+        assert epsilon in (0.25, 0.5)
+        params = make_params(0.5, 1.5, 1.5, 0.0, 1, epsilon, 2, 1)
+        rng = np.random.default_rng(3)
+        X0 = rng.uniform(-1, 1, (30, 2, 1))
+        V0 = rng.uniform(-0.2, 0.2, (30, 2, 1))
+        X0[0], V0[0] = 0.5, 0.0          # at the boundary and at rest
+        X0[1] = [[0.5], [0.25]]          # hit at the initial sweep
+        evals, _ = _check_hit_rule(params, f, 30, 40, 11, X0=X0, V0=V0)
+        assert evals[0] == -1 and evals[1] == 2
+        assert (evals > 2).any()
+
+
+@pytest.mark.parametrize("trials", [1, 30])
+def test_counterexample_runner_counts_match_a_stepped_swarm(trials):
+    # on sphere the follower improves often, so the counts are not all zero
+    # (with one trial, one at a time); the runner reads them off
+    # `BatchSwarm.improved`, this recount off fP
+    params = make_params(0.4, 1.5, 1.5, 0.0, 1, 1e-2, 2, 1)
+    f = sphere()
+    steps, window, seed = 200, 80, 12
+    res = batch.run_counterexample_batch(params, f, trials, steps, window, seed)
+    sw = batch.BatchSwarm(params, f, trials, seed, init="explicit",
+                          positions=np.array([[0.0], [1.0]]), velocities=np.zeros((2, 1)))
+    updates = np.zeros((trials, 2), dtype=np.int64)
+    s1, s2 = [0.0] * trials, [0.0] * trials
+    for t in range(steps):
+        before = sw.fP.copy()
+        sw.step()
+        updates += sw.fP < before
+        if t >= steps - window:
+            for k, x in enumerate(sw.X[:, 1, 0].tolist()):
+                s1[k] += x
+                s2[k] += x * x
+    assert np.array_equal(res.pbest_updates, updates)
+    assert updates[:, 0].sum() == 0 and (updates[:, 1] > 1).all()
+    mean = np.array(s1) / window
+    assert res.window_mean.tobytes() == mean.tobytes()
+    assert res.window_var.tobytes() == (np.array(s2) / window - mean * mean).tobytes()
