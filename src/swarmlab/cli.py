@@ -306,12 +306,11 @@ def cmd_fht(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    if not (args.omega_max > args.omega_min and args.phi_max > args.phi_min):
-        raise CliError("ranges must satisfy min < max")
-    if args.resolution < 2:
-        raise CliError("resolution must be >= 2")
-    grid = regions.scan_regions((args.omega_min, args.omega_max),
-                                (args.phi_min, args.phi_max), args.resolution)
+    try:
+        grid = regions.scan_regions((args.omega_min, args.omega_max),
+                                    (args.phi_min, args.phi_max), args.resolution)
+    except ValueError as exc:
+        raise CliError(f"regions: {exc}") from None
     out = _out_dir(args)
     regions.write_regions_csv(grid, out / "regions.csv")
     names = ["regions.csv"]
@@ -367,6 +366,8 @@ def cmd_moments(args) -> int:
     except ValueError as exc:
         raise CliError(f"invalid parameters: {exc}") from None
     p_best, g_best = args.p_best, args.g_best
+    if not (np.isfinite(p_best) and np.isfinite(g_best)):
+        raise CliError(f"--p-best and --g-best must be finite, got {p_best!r}, {g_best!r}")
     f1 = float(moments.f_one(params.omega, phi1, phi2))
     f1_alt = float(moments.f_one_asymmetric_variant(params.omega, phi1, phi2))
     M = moments.moment_transition(params, p_best, g_best)

@@ -54,8 +54,10 @@ class PsoParams:
     n: int = 1
 
     def __post_init__(self):
-        if not np.isfinite(self.omega):
-            raise ValueError(f"omega must be finite, got {self.omega}")
+        # a NaN passes every ordering check below (nan < 0 is False)
+        for name in ("omega", "phi1", "phi2", "delta", "alpha", "epsilon"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.phi1 < 0 or self.phi2 < 0:
             raise ValueError(f"phi1, phi2 must be >= 0, got {self.phi1}, {self.phi2}")
         if self.delta < 0:

@@ -110,16 +110,35 @@ class RegionGrid:
     pbest_convergence: np.ndarray
 
 
+def _cell_centres(lo, hi, resolution) -> np.ndarray:
+    """Centres of `resolution` equal cells on [lo, hi].
+
+    ValueError unless the bounds and the width are finite and
+    lo < centre_0 < ... < centre_last < hi holds in floating point, so that
+    no two cells share a centre and no centre lies on a bound.
+    """
+    if not (hi > lo):
+        raise ValueError(f"ranges must be increasing, got [{lo!r}, {hi!r}]")
+    if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(hi - lo)):
+        raise ValueError(f"range [{lo!r}, {hi!r}] must have finite bounds and width")
+    centres = lo + (np.arange(resolution) + 0.5) * (hi - lo) / resolution
+    if not np.all(np.diff(np.concatenate(([lo], centres, [hi]))) > 0):
+        raise ValueError(f"range [{lo!r}, {hi!r}] is too narrow for "
+                         f"{resolution} distinct cell centres inside it")
+    return centres
+
+
 def scan_regions(omega_range=(0.0, 1.0), phi_range=(0.0, 4.0), resolution=400) -> RegionGrid:
-    """Region memberships on a resolution x resolution grid of cell centres."""
+    """Region memberships on a resolution x resolution grid of cell centres.
+
+    Raises ValueError for a resolution below 2, and for a window whose
+    bounds or width are not finite or whose cell centres are not strictly
+    increasing and strictly inside it.
+    """
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
-    o_lo, o_hi = omega_range
-    p_lo, p_hi = phi_range
-    if not (o_hi > o_lo and p_hi > p_lo):
-        raise ValueError("ranges must be increasing")
-    omega = o_lo + (np.arange(resolution) + 0.5) * (o_hi - o_lo) / resolution
-    phi = p_lo + (np.arange(resolution) + 0.5) * (p_hi - p_lo) / resolution
+    omega = _cell_centres(*omega_range, resolution)
+    phi = _cell_centres(*phi_range, resolution)
     OM, PH = np.meshgrid(omega, phi, indexing="ij")
     return RegionGrid(
         omega=omega,
@@ -136,19 +155,37 @@ def scan_regions(omega_range=(0.0, 1.0), phi_range=(0.0, 4.0), resolution=400) -
 REGIONS_CSV_HEADER = "omega,phi,f1,deterministic,lyapunov,mean_square,noisy_fht,pbest_convergence"
 
 
+# region flags in CSV column order; bit k of a cell's flag code is field k
+_FLAG_FIELDS = ("deterministic", "lyapunov", "mean_square", "noisy_fht", "pbest_convergence")
+# the row tail ",d,l,m,n,p\n" of each of the 32 flag codes
+_FLAG_TAILS = np.array([",%d,%d,%d,%d,%d\n" % tuple((code >> k) & 1 for k in range(5))
+                        for code in range(32)], dtype=object)
+
+
 def write_regions_csv(grid: RegionGrid, path) -> None:
     """One row per cell (omega-major), reals at 9 significant digits,
-    booleans as 0/1."""
-    lines = [REGIONS_CSV_HEADER]
-    for i, w in enumerate(grid.omega):
-        for j, p in enumerate(grid.phi):
-            lines.append("%.9g,%.9g,%.9g,%d,%d,%d,%d,%d" % (
-                w, p, grid.f1[i, j],
-                grid.deterministic[i, j], grid.lyapunov[i, j],
-                grid.mean_square[i, j], grid.noisy_fht[i, j],
-                grid.pbest_convergence[i, j]))
+    booleans as 0/1.
+
+    The omega and phi labels are formatted once per row and column, and the
+    five flags of a cell are packed into one 5-bit code that selects its
+    row tail from a 32-entry table; only f1 is formatted per cell.  Each
+    omega row is written by one `%` on a template of its cells.  `%.9g` on
+    the Python floats of `tolist()` gives the bytes it gives on numpy
+    scalars, so the file is the one a per-cell writer would produce.
+    """
+    code = np.zeros(grid.f1.shape, dtype=np.uint8)
+    for k, field in enumerate(_FLAG_FIELDS):
+        code |= getattr(grid, field).astype(np.uint8) << k
+    # a row is w_label + "p_0,%.9g%s" + w_label + "p_1,%.9g%s" + ...
+    cells = ["%.9g," % p + "%.9g%s" for p in grid.phi.tolist()]
+    values = [None] * (2 * len(cells))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(REGIONS_CSV_HEADER + "\n")
+        for w, f1_row, code_row in zip(grid.omega.tolist(), grid.f1, code):
+            w_label = "%.9g," % w
+            values[0::2] = f1_row.tolist()
+            values[1::2] = _FLAG_TAILS[code_row].tolist()
+            fh.write((w_label + w_label.join(cells)) % tuple(values))
 
 
 _SVG_LAYERS = [
@@ -161,23 +198,26 @@ _SVG_LAYERS = [
 ]
 
 
-def _column_runs(mask_col: np.ndarray, phi: np.ndarray, cell: float):
-    """Contiguous true runs of one grid column as (phi_lo, phi_hi) spans."""
-    runs = []
-    start = None
-    for j, flag in enumerate(mask_col):
-        if flag and start is None:
-            start = phi[j] - cell / 2
-        elif not flag and start is not None:
-            runs.append((start, phi[j - 1] + cell / 2))
-            start = None
-    if start is not None:
-        runs.append((start, phi[-1] + cell / 2))
-    return runs
+def _true_runs(mask: np.ndarray):
+    """Contiguous true runs along the last axis of a 2-D mask, in row-major
+    order, as (row, first index, last index + 1) arrays."""
+    rows, cols = mask.shape
+    padded = np.zeros((rows, cols + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    # each padded row starts and ends false, so its changes pair up
+    row, col = np.divmod(np.flatnonzero(padded[:, 1:] != padded[:, :-1]), cols + 1)
+    return row[0::2], col[0::2], col[1::2]
 
 
 def render_regions_svg(grid: RegionGrid, path, width=640, height=480) -> None:
-    """Filled nested-region rendering with labelled omega/phi axes."""
+    """Filled nested-region rendering with labelled omega/phi axes.
+
+    Each layer is one rectangle per contiguous true run of a grid column,
+    spanning phi[first] - cell / 2 to phi[last] + cell / 2.  The runs of
+    all columns come from one `np.flatnonzero` over the layer's mask and
+    the rectangle corners from array arithmetic; only the formatting of
+    each rectangle is done in Python.
+    """
     margin = 50
     o_lo = grid.omega[0] - (grid.omega[1] - grid.omega[0]) / 2
     o_hi = grid.omega[-1] + (grid.omega[1] - grid.omega[0]) / 2
@@ -198,15 +238,15 @@ def render_regions_svg(grid: RegionGrid, path, width=640, height=480) -> None:
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for field, fill, _label in _SVG_LAYERS:
-        mask = getattr(grid, field)
-        rects = []
-        for i, w in enumerate(grid.omega):
-            for lo, hi in _column_runs(mask[i], grid.phi, cell_p):
-                x = sx(w - cell_o / 2)
-                y = sy(hi)
-                rects.append(f'<rect x="{x:.2f}" y="{y:.2f}" '
-                             f'width="{sx(w + cell_o / 2) - x:.2f}" '
-                             f'height="{sy(lo) - y:.2f}" fill="{fill}" fill-opacity="0.85"/>')
+        i, first, stop = _true_runs(getattr(grid, field))
+        w = grid.omega[i]
+        x = sx(w - cell_o / 2)
+        y = sy(grid.phi[stop - 1] + cell_p / 2)
+        rect_w = sx(w + cell_o / 2) - x
+        rect_h = sy(grid.phi[first] - cell_p / 2) - y
+        rects = [f'<rect x="{a:.2f}" y="{b:.2f}" width="{c:.2f}" height="{d:.2f}" '
+                 f'fill="{fill}" fill-opacity="0.85"/>'
+                 for a, b, c, d in zip(x.tolist(), y.tolist(), rect_w.tolist(), rect_h.tolist())]
         parts.append(f'<g>{"".join(rects)}</g>')
     ax = (f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
           f'y2="{height - margin}" stroke="black"/>'

@@ -104,6 +104,50 @@ class TestExitCodes:
         assert rc == 2
         assert not (tmp_path / "o").exists()
 
+    # a NaN passes an ordering check such as delta < 0; before, these ran
+    # and reported results (fht: every trial a hit at delta = nan)
+    @pytest.mark.parametrize("command, preset, override", [
+        ("fht", "noisy-sphereplus", "delta=nan"),
+        ("fht", "noisy-sphereplus", "epsilon=nan"),
+        ("fht", "noisy-sphereplus", "phi1=inf"),
+        ("fht", "noisy-sphereplus", "phi2=nan"),
+        ("fht", "noisy-sphereplus", "alpha=nan"),
+        ("simulate", "noisy-sphereplus", "delta=nan"),
+        ("simulate", "noisy-sphereplus", "epsilon=inf"),
+        ("simulate", "noisy-sphereplus", "alpha=inf"),
+        ("simulate", "prop1-bad-init", "phi1=nan"),
+    ])
+    def test_non_finite_swarm_parameter(self, tmp_path, command, preset, override):
+        rc = main([command, "--preset", preset, "--override", override,
+                   "--override", "trials=5", "--override", "budget=50",
+                   "--seed", "1", "--threads", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--delta", "nan"], ["--delta", "inf"],
+        ["--p-best", "inf"], ["--g-best", "nan"], ["--p-best=-inf"],
+    ])
+    def test_moments_non_finite_input(self, tmp_path, flags):
+        rc = main(["moments", "--omega", "0.4", "--phi1", "1.5", "--phi2", "1.5",
+                   *flags, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert not (tmp_path / "o").exists()
+
+    # infinite bounds or width; a subnormal window whose first centre is its
+    # lower bound; a window too narrow for three distinct centres
+    @pytest.mark.parametrize("window", [
+        ["--omega-max", "inf"],
+        ["--omega-min=-inf"],
+        ["--phi-min=-1e308", "--phi-max", "1e308"],
+        ["--omega-max", "5e-324", "--resolution", "2"],
+        ["--phi-min", "1", "--phi-max", "1.0000000000000002"],
+    ])
+    def test_degenerate_region_window(self, tmp_path, window):
+        rc = main(["regions", "--resolution", "3", *window, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert not (tmp_path / "o").exists()
+
 
 class TestReproducibility:
     def test_fht_byte_identical_reruns(self, tmp_path):

@@ -43,6 +43,15 @@ class TestMakeParams:
         with pytest.raises(ValueError):
             make_params(**base)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["omega", "phi1", "phi2", "delta", "alpha", "epsilon"])
+    def test_non_finite_fields_rejected(self, field, value):
+        base = dict(omega=0.5, phi1=1.0, phi2=1.0, delta=0.0,
+                    alpha=1.0, epsilon=0.1, m=2, n=1)
+        base[field] = value
+        with pytest.raises(ValueError, match=field):
+            make_params(**base)
+
 
 class TestObjectives:
     def test_sphere_values(self):

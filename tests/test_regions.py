@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from swarmlab import moments, regions
+from swarmlab.regions import RegionGrid
+
+from regions_reference import ref_render_regions_svg, ref_write_regions_csv
 
 
 class TestDeterministicRegion:
@@ -109,6 +112,24 @@ class TestScan:
         with pytest.raises(ValueError):
             regions.scan_regions(omega_range=(1.0, 0.0))
 
+    @pytest.mark.parametrize("omega_range, phi_range, resolution", [
+        ((0.0, np.inf), (0.0, 4.0), 3),
+        ((-np.inf, 1.0), (0.0, 4.0), 3),
+        ((0.0, 1.0), (-1e308, 1e308), 3),          # finite bounds, infinite width
+        ((0.0, 5e-324), (0.0, 4.0), 2),            # first centre rounds onto 0
+        ((0.0, 1.0), (1.0, 1.0 + 2.0**-52), 3),    # centres collide
+        ((0.0, 1.0), (0.0, np.nan), 3),
+    ])
+    def test_degenerate_window_rejected(self, omega_range, phi_range, resolution):
+        with pytest.raises(ValueError):
+            regions.scan_regions(omega_range, phi_range, resolution)
+
+    def test_narrow_window_accepted(self):
+        grid = regions.scan_regions((0.0, 1e-320), (1.0, 1.0 + 2.0**-40), 400)
+        for axis, (lo, hi) in ((grid.omega, (0.0, 1e-320)), (grid.phi, (1.0, 1.0 + 2.0**-40))):
+            assert lo < axis[0] and axis[-1] < hi
+            assert np.all(np.diff(axis) > 0)
+
 
 class TestArtifacts:
     def test_csv_schema_and_values(self, tmp_path):
@@ -141,3 +162,63 @@ class TestArtifacts:
         # restrict to cells with positive phi sum (all, by construction)
         disagree = grid.mean_square != stable
         assert disagree.mean() < 1e-3
+
+
+_WINDOWS = {
+    "default": ((0.0, 1.0), (0.0, 4.0)),
+    "negative": ((-1.5, -0.2), (-3.0, 2.0)),
+    "narrow": ((0.4, 0.402), (1.5, 1.502)),
+}
+
+
+def _hand_built_grid(seed=7, res_omega=40, res_phi=37):
+    """A grid whose masks take all 32 flag codes, with empty, full and
+    alternating columns, and whose f1 holds the awkward doubles."""
+    rng = np.random.default_rng(seed)
+    code = rng.integers(0, 32, size=(res_omega, res_phi))
+    code[0] = 0                      # every layer's column empty
+    code[1] = 31                     # every layer's column full
+    # single-cell runs, with (res_phi odd) and without the first and last cells
+    code[2] = np.where(np.arange(res_phi) % 2 == 0, 31, 0)
+    code[3] = np.where(np.arange(res_phi) % 2 == 1, 31, 0)
+    fields = ("deterministic", "lyapunov", "mean_square", "noisy_fht", "pbest_convergence")
+    masks = {field: ((code >> k) & 1).astype(bool) for k, field in enumerate(fields)}
+    f1 = rng.normal(size=(res_omega, res_phi)) * 10.0 ** rng.integers(-12, 12, size=(res_omega, res_phi))
+    special = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, -3.5,
+               np.inf, -np.inf, np.nan, 1 / 3, -2.0 / 3]
+    f1.flat[:len(special)] = special
+    f1[-1, -len(special):] = special
+    omega = np.sort(rng.uniform(-2.0, 2.0, res_omega))
+    phi = np.sort(rng.uniform(-1.0, 5.0, res_phi))
+    return RegionGrid(omega=omega, phi=phi, f1=f1, **masks), code
+
+
+class TestWritersMatchReference:
+    """The vectorised writers against the per-cell reference, byte for byte."""
+
+    @staticmethod
+    def _assert_same_bytes(grid, tmp_path):
+        regions.write_regions_csv(grid, tmp_path / "new.csv")
+        ref_write_regions_csv(grid, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        regions.render_regions_svg(grid, tmp_path / "new.svg")
+        ref_render_regions_svg(grid, tmp_path / "ref.svg")
+        assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+    @pytest.mark.parametrize("window", sorted(_WINDOWS))
+    @pytest.mark.parametrize("resolution", [2, 3, 57, 400])
+    def test_scanned_grid(self, tmp_path, window, resolution):
+        grid = regions.scan_regions(*_WINDOWS[window], resolution)
+        self._assert_same_bytes(grid, tmp_path)
+
+    def test_hand_built_grid(self, tmp_path):
+        grid, code = _hand_built_grid()
+        assert set(np.unique(code)) == set(range(32))
+        for mask in (grid.deterministic, grid.pbest_convergence):
+            assert mask[:, 0].any() and mask[:, -1].any()       # runs touch both ends
+            assert not mask[0].any() and mask[1].all()          # empty and full columns
+        f1 = grid.f1.ravel()
+        assert np.isnan(f1).any() and np.isposinf(f1).any() and np.isneginf(f1).any()
+        assert np.any((f1 == 0) & np.signbit(f1))               # -0.0
+        assert np.any((f1 != 0) & (np.abs(f1) < 2.2250738585072014e-308))   # subnormal
+        self._assert_same_bytes(grid, tmp_path)
