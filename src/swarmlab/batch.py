@@ -12,18 +12,17 @@ personal-best value.  It is chosen by a strict-`<` sweep over the particles
 (`_global_best`), which agrees with `argmin` plus a gather bit for bit and
 costs m - 1 elementwise passes instead of an index computation.
 
-Because every draw is addressed by its coordinates, a batch can drop rows
-mid-run (`BatchSwarm.keep`) without changing what the remaining trials draw.
-`run_fht_batch` uses this to step only the trials that have not yet hit.
+The first-hitting-time loop, `step_until_hit`, runs under `run_fht_batch`
+and `engine.run_until_hit`; draws are addressed by their coordinates, so it
+drops trials that hit (`BatchSwarm.keep`) without changing what the rest draw.
 
 At narrow shapes (about 100 trials) a step costs its numpy calls, not its
-arithmetic, so the loops keep the calls per step few without moving a bit:
-each draw block is scaled by phi1 and phi2 once; a step in which no personal
-best improves (frozen or stagnating bests) leaves every best as it is without
-recomputing it; `step` keeps its strict-improvement mask as `improved` for
-runners that count updates; and hits are read off the (trials,) global-best
-value, which the `ObjectiveFn` contract (no value below the optimum value)
-makes the same test as one on every fresh value.
+arithmetic, so the calls per step are few without moving a bit: each draw
+block is scaled by phi1 and phi2 once; a step in which no personal best
+improves leaves every best array as it is, and the hit test is skipped;
+`step` keeps its strict-improvement mask as `improved`; and hits are read off
+the (trials,) global-best value, which the `ObjectiveFn` contract (no value
+below the optimum value) makes the same test as one on every fresh value.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from .core import (
 __all__ = [
     "BatchSwarm",
     "FhtBatchResult",
+    "step_until_hit",
     "run_fht_batch",
     "TwoParticleBatchResult",
     "run_two_particle_demo",
@@ -226,60 +226,70 @@ class FhtBatchResult:
     budget: int
 
 
-def run_fht_batch(params: PsoParams, objective: ObjectiveFn, trials: int, budget: int,
-                  master_seed: int, *, trial_offset: int = 0, init: str = "random",
-                  positions=None, velocities=None, require_nonneg_gbest: bool = False,
-                  position_ball_radius: float | None = None) -> FhtBatchResult:
-    """First-hitting-time runs: step each trial until it has an evaluated value
-    within epsilon of the optimum or the next sweep would exceed the budget.
+def step_until_hit(swarm: BatchSwarm, budget: int, *,
+                   position_ball_radius: float | None = None,
+                   observe=None) -> FhtBatchResult:
+    """Step each trial until one of its values is within epsilon of the
+    optimum value (a hit, at the eval_count of that sweep; the initial m
+    evaluations are the first) or the next sweep would exceed the budget.
 
-    A hit records the eval_count after the sweep that produced it (the initial
-    m evaluations count as the first sweep).  Because no value lies below the
-    optimum value (see `ObjectiveFn`), a trial's first value within epsilon is
-    a strict improvement on all before it, so the test reads the global-best
-    value alone.  A trial that hits leaves the batch (`BatchSwarm.keep`), so
-    only live trials are stepped; `live` maps batch rows to trial ids.
-    Optionally tracks whether any particle entered the position-space ball of
-    the given radius during the trial's own run, through the least squared
-    norm each particle has had.
+    No value lies below the optimum value (see `ObjectiveFn`), so a hit shows
+    in `fG`, tested only when `step` has made a new one.  Trials that hit leave
+    the batch (`keep`), except the last, so the swarm ends in its hit state.
+    `observe(swarm)` runs after each step.  With position_ball_radius, each
+    particle's least squared norm tells whether it entered that ball.
     """
-    if budget < params.m:
-        raise ValueError("budget must cover at least the initial evaluations")
-    swarm = BatchSwarm(params, objective, trials, master_seed, trial_offset,
-                       init=init, positions=positions, velocities=velocities,
-                       require_nonneg_gbest=require_nonneg_gbest)
-    opt, eps = objective.optimum_value, params.epsilon
-    entered = least_sq = None
+    m = swarm.params.m
+    if budget < m:
+        raise ValueError(f"budget {budget} is below one evaluation sweep ({m})")
+    opt, eps = swarm.objective.optimum_value, swarm.params.epsilon
+    live = np.arange(swarm.trials)   # batch row -> trial id
+    hit_evals = np.full(live.size, -1, dtype=np.int64)
+    final_g = np.empty(live.size)
+    entered = least_sq = tested = None
     if position_ball_radius is not None:
-        entered = np.zeros(trials, dtype=bool)
+        entered = np.zeros(live.size, dtype=bool)
         r2_max = position_ball_radius ** 2
         # per batch row and particle; fmin skips a NaN norm, as <= r2_max would
-        least_sq = np.full((trials, params.m), np.inf)
-    hit_evals = np.full(trials, -1, dtype=np.int64)
-    final_g = np.empty(trials)
-    live = np.arange(trials)
+        least_sq = np.full((live.size, m), np.inf)
     while True:
         if least_sq is not None:
             np.fmin(least_sq, _sphere_batch(swarm.X), out=least_sq)
-        hit = swarm.fG - opt < eps
-        if np.count_nonzero(hit):
-            done = live[hit]
-            hit_evals[done] = swarm.eval_count
-            final_g[done] = swarm.fG[hit]
-            rows = np.flatnonzero(~hit)
-            live = live[rows]
-            swarm.keep(rows)
+        if swarm.fG is not tested:
+            tested = swarm.fG
+            hit = tested - opt < eps
+            if np.count_nonzero(hit):
+                done = live[hit]
+                hit_evals[done] = swarm.eval_count
+                final_g[done] = tested[hit]
+                if least_sq is not None:
+                    entered[done] = (least_sq[hit] <= r2_max).any(axis=1)
+                if done.size == live.size:
+                    break
+                rows = np.flatnonzero(~hit)
+                live = live[rows]
+                swarm.keep(rows)
+                if least_sq is not None:
+                    least_sq = least_sq[rows]
+        if swarm.eval_count + m > budget:
+            final_g[live] = swarm.fG
             if least_sq is not None:
-                entered[done] = (least_sq[hit] <= r2_max).any(axis=1)
-                least_sq = least_sq[rows]
-        if live.size == 0 or swarm.eval_count + params.m > budget:
+                entered[live] = (least_sq <= r2_max).any(axis=1)
             break
         swarm.step()
-    final_g[live] = swarm.fG
-    if least_sq is not None:
-        entered[live] = (least_sq <= r2_max).any(axis=1)
+        if observe is not None:
+            observe(swarm)
     return FhtBatchResult(hit_evals=hit_evals, final_gbest_value=final_g,
                           entered_position_ball=entered, budget=budget)
+
+
+def run_fht_batch(params: PsoParams, objective: ObjectiveFn, trials: int, budget: int,
+                  master_seed: int, *, position_ball_radius: float | None = None,
+                  **start) -> FhtBatchResult:
+    """First-hitting-time runs: `step_until_hit` on a fresh `BatchSwarm` built
+    with the keywords in `start`."""
+    swarm = BatchSwarm(params, objective, trials, master_seed, **start)
+    return step_until_hit(swarm, budget, position_ball_radius=position_ball_radius)
 
 
 @dataclass(frozen=True)
@@ -386,35 +396,36 @@ def run_counterexample_batch(params: PsoParams, objective: ObjectiveFn,
     )
 
 
-def _attractor_bases(params: PsoParams, trials: int, master_seed: int):
-    base_r = stream_base(master_seed, PURPOSE_R, trials, 1, 1)[:, 0, 0]
-    base_s = stream_base(master_seed, PURPOSE_S, trials, 1, 1)[:, 0, 0]
-    base_d = (stream_base(master_seed, PURPOSE_NOISE, trials, 1, 1)[:, 0, 0]
-              if params.delta > 0 else None)
-    base_x = stream_base(master_seed, PURPOSE_INIT_X, trials, 1, 1)[:, 0, 0]
-    return base_r, base_s, base_d, base_x
+def _attractor_chain(params: PsoParams, p_best: float, g_best: float, trials: int,
+                     master_seed: int, steps: int):
+    """Yields (t, X_t, noise) of `trials` fixed-attractor chains, t = 0..steps,
+    each X_t a new array: X_0 is the later of two starts within alpha of the
+    weighted attractor; noise is the N added to X_t (None at t = 0, delta = 0)."""
+    base_r, base_s, base_d, base_x = (
+        stream_base(master_seed, purpose, trials, 1, 1)[:, 0, 0]
+        for purpose in (PURPOSE_R, PURPOSE_S, PURPOSE_NOISE, PURPOSE_INIT_X))
+    w, phi1, phi2 = params.omega, params.phi1, params.phi2
+    center = (phi1 * p_best + phi2 * g_best) / (phi1 + phi2) if phi1 + phi2 > 0 else 0.0
 
-
-def _attractor_init(params: PsoParams, p_best: float, g_best: float, base_x):
-    s = params.phi1 + params.phi2
-    center = (params.phi1 * p_best + params.phi2 * g_best) / s if s > 0 else 0.0
-    x0 = center + params.alpha * (2.0 * step_uniform(base_x, 0) - 1.0)
-    x1 = center + params.alpha * (2.0 * step_uniform(base_x, 1) - 1.0)
-    return x0, x1
-
-
-def _attractor_step(params: PsoParams, p_best: float, g_best: float,
-                    x_prev, x_cur, base_r, base_s, base_d, t):
-    R = step_uniform(base_r, t)
-    S = step_uniform(base_s, t)
-    x_next = ((1.0 + params.omega - (params.phi1 * R + params.phi2 * S)) * x_cur
-              - params.omega * x_prev
-              + params.phi1 * R * p_best + params.phi2 * S * g_best)
-    noise = None
-    if base_d is not None:
+    # a step's temporaries are freed when `advance` returns; held across a yield
+    # they made the 20 000-chain ensemble fault 10x as often and run 15% longer
+    def advance(x_prev, x_cur, t):
+        R = step_uniform(base_r, t)
+        S = step_uniform(base_s, t)
+        x_next = ((1.0 + w - (phi1 * R + phi2 * S)) * x_cur - w * x_prev
+                  + phi1 * R * p_best + phi2 * S * g_best)
+        if params.delta == 0:
+            return x_next, None
         noise = params.delta * (step_uniform(base_d, t) - 0.5)
-        x_next = x_next + noise
-    return x_next, noise
+        return x_next + noise, noise
+
+    x_prev = center + params.alpha * (2.0 * step_uniform(base_x, 0) - 1.0)
+    x_cur = center + params.alpha * (2.0 * step_uniform(base_x, 1) - 1.0)
+    yield 0, x_cur, None
+    for t in range(steps):
+        x_next, noise = advance(x_prev, x_cur, t)
+        x_prev, x_cur = x_cur, x_next
+        yield t + 1, x_cur, noise
 
 
 def run_fixed_attractor_ensemble(params: PsoParams, p_best: float, g_best: float,
@@ -424,17 +435,9 @@ def run_fixed_attractor_ensemble(params: PsoParams, p_best: float, g_best: float
     chains; returns {t: positions (trials,)} snapshots at the checkpoints
     (always including the final step).
     """
-    base_r, base_s, base_d, base_x = _attractor_bases(params, trials, master_seed)
-    x_prev, x_cur = _attractor_init(params, p_best, g_best, base_x)
     wanted = set(int(t) for t in checkpoints) | {steps}
-    out = {}
-    for t in range(steps):
-        x_next, _ = _attractor_step(params, p_best, g_best, x_prev, x_cur,
-                                    base_r, base_s, base_d, t)
-        x_prev, x_cur = x_cur, x_next
-        if t + 1 in wanted:
-            out[t + 1] = x_cur.copy()
-    return out
+    return {t: x for t, x, _ in _attractor_chain(params, p_best, g_best, trials,
+                                                 master_seed, steps) if t in wanted}
 
 
 @dataclass(frozen=True)
@@ -453,26 +456,18 @@ def run_improvement_counts(params: PsoParams, g_value: float, trials: int,
     """
     if params.delta <= 0:
         raise ValueError("improvement counting requires delta > 0")
-    base_r, base_s, base_d, base_x = _attractor_bases(params, trials, master_seed)
-    x_prev, x_cur = _attractor_init(params, g_value, g_value, base_x)
     d = params.delta
     lo = g_value - d
     hi = g_value - d / 100.0 + eps_prime
     y_thresh = 0.4899 * d + eps_prime
-    compound = 0
-    y_tail = 0
-    samples = 0
-    for t in range(burn_in + keep_steps):
-        x_next, noise = _attractor_step(params, g_value, g_value, x_prev, x_cur,
-                                        base_r, base_s, base_d, t)
-        x_prev, x_cur = x_cur, x_next
-        if t >= burn_in:
-            y = x_cur - noise
-            compound += int(((x_cur >= lo) & (x_cur <= hi)).sum())
-            y_tail += int((np.abs(y - g_value) >= y_thresh).sum())
-            samples += trials
-    return ImprovementCounts(samples=samples, compound_hits=compound,
-                             y_tail_hits=y_tail, final_positions=x_cur.copy())
+    compound = y_tail = 0
+    for t, x, noise in _attractor_chain(params, g_value, g_value, trials, master_seed,
+                                        burn_in + keep_steps):
+        if t > burn_in:   # Y_t = X_t - N_t
+            compound += int(((x >= lo) & (x <= hi)).sum())
+            y_tail += int((np.abs((x - noise) - g_value) >= y_thresh).sum())
+    return ImprovementCounts(samples=trials * keep_steps, compound_hits=compound,
+                             y_tail_hits=y_tail, final_positions=x)
 
 
 @dataclass(frozen=True)

@@ -309,6 +309,8 @@ def cmd_regions(args) -> int:
     try:
         grid = regions.scan_regions((args.omega_min, args.omega_max),
                                     (args.phi_min, args.phi_max), args.resolution)
+        for axis in (grid.omega, grid.phi):   # regions.csv must tell cells apart
+            regions.csv_labels(axis)
     except ValueError as exc:
         raise CliError(f"regions: {exc}") from None
     out = _out_dir(args)

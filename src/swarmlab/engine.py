@@ -1,16 +1,16 @@
 """One-trial runs with first-hitting-time tracking and trajectory dumps.
 
 A one-trial swarm is a :class:`swarmlab.batch.BatchSwarm` with trials = 1 and
-the master seed's trial 0 (or the given trial index), so a `simulate` run
-follows the same update, initialisation and best update as trial 0 of `fht`.
-The swarm is advanced in place.
+the master seed's trial 0 (or the given trial index), and `run_until_hit` is
+`batch.step_until_hit`, the loop under `fht`, so a `simulate` run is trial 0
+of `fht`.  The swarm is advanced in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .batch import BatchSwarm
+from .batch import BatchSwarm, step_until_hit
 from .core import ObjectiveFn, PsoParams
 
 __all__ = [
@@ -82,27 +82,16 @@ def trajectory_rows(swarm: BatchSwarm) -> list:
 
 def run_until_hit(swarm: BatchSwarm, budget: int,
                   trace_stride: int | None = None) -> TrialResult:
-    """Step until an evaluated position lands within epsilon of the optimum
-    value (initial evaluations included) or the next step would exceed the
-    evaluation budget.
+    """`batch.step_until_hit` on the swarm, read off for trial 0; a hit leaves
+    the swarm in its hit state.  With trace_stride, trajectory rows of the
+    start and of every trace_stride-th step are attached."""
+    trace = trajectory_rows(swarm) if trace_stride else None
 
-    A hit records the eval_count after the batch of evaluations that produced
-    it.  With trace_stride set, sampled trajectory rows are attached.
-    """
-    m = swarm.params.m
-    if budget < m:
-        raise ValueError(f"budget {budget} is below one evaluation sweep ({m})")
-    opt, epsilon = swarm.objective.optimum_value, swarm.params.epsilon
-    trace = [] if trace_stride else None
-    if trace is not None:
-        trace.extend(trajectory_rows(swarm))
-    while True:
-        # no value lies below the optimum value, so the first value within
-        # epsilon is a strict improvement and shows in the global best
-        if swarm.fG[0] - opt < epsilon:
-            return TrialResult(True, swarm.eval_count, budget, float(swarm.fG[0]), trace)
-        if swarm.eval_count + m > budget:
-            return TrialResult(False, None, budget, float(swarm.fG[0]), trace)
-        step(swarm)
-        if trace is not None and swarm.t % trace_stride == 0:
-            trace.extend(trajectory_rows(swarm))
+    def observe(s):
+        if s.t % trace_stride == 0:
+            trace.extend(trajectory_rows(s))
+
+    res = step_until_hit(swarm, budget, observe=observe if trace else None)
+    evals = int(res.hit_evals[0])
+    return TrialResult(evals >= 0, evals if evals >= 0 else None, budget,
+                       float(res.final_gbest_value[0]), trace)

@@ -94,6 +94,12 @@ def sigma_y_squared(omega, phi1, phi2, delta):
     return delta * delta * (1.0 - f1) / (12.0 * f1)
 
 
+def _a_moments(w, p1, p2):
+    """(E[a], E[a^2]) of `_coefficient_moments`, on scalars or arrays."""
+    return (1.0 + w - (p1 + p2) / 2.0,
+            (1.0 + w) ** 2 - (1.0 + w) * (p1 + p2) + p1 * p1 / 3 + p1 * p2 / 2 + p2 * p2 / 3)
+
+
 def _coefficient_moments(params: PsoParams, p_best: float, g_best: float):
     """Moments of the random recurrence coefficients.
 
@@ -104,8 +110,7 @@ def _coefficient_moments(params: PsoParams, p_best: float, g_best: float):
     """
     w, p1, p2 = params.omega, params.phi1, params.phi2
     P, G = p_best, g_best
-    ea = 1.0 + w - (p1 + p2) / 2.0
-    ea2 = (1.0 + w) ** 2 - (1.0 + w) * (p1 + p2) + p1 * p1 / 3 + p1 * p2 / 2 + p2 * p2 / 3
+    ea, ea2 = _a_moments(w, p1, p2)
     eb = (p1 * P + p2 * G) / 2.0
     eab = ((1.0 + w) * (p1 * P + p2 * G) / 2.0
            - (p1 * p1 * P / 3 + p1 * p2 * (P + G) / 4 + p2 * p2 * G / 3))
@@ -257,9 +262,7 @@ def second_moment_radius_grid(omega, phi1, phi2) -> np.ndarray:
         np.asarray(phi1, dtype=np.float64),
         np.asarray(phi2, dtype=np.float64),
     )
-    ea = 1.0 + omega - (phi1 + phi2) / 2.0
-    ea2 = ((1.0 + omega) ** 2 - (1.0 + omega) * (phi1 + phi2)
-           + phi1 * phi1 / 3 + phi1 * phi2 / 2 + phi2 * phi2 / 3)
+    ea, ea2 = _a_moments(omega, phi1, phi2)
     blocks = np.zeros(omega.shape + (3, 3))
     blocks[..., 0, 0] = ea2
     blocks[..., 0, 1] = -2.0 * omega * ea

@@ -26,6 +26,7 @@ __all__ = [
     "write_regions_csv",
     "render_regions_svg",
     "REGIONS_CSV_HEADER",
+    "csv_labels",
 ]
 
 
@@ -155,6 +156,15 @@ def scan_regions(omega_range=(0.0, 1.0), phi_range=(0.0, 4.0), resolution=400) -
 REGIONS_CSV_HEADER = "omega,phi,f1,deterministic,lyapunov,mean_square,noisy_fht,pbest_convergence"
 
 
+def csv_labels(values) -> list:
+    """The regions.csv labels of grid.omega or grid.phi; ValueError if two cells share one."""
+    labels = ["%.9g" % v for v in values.tolist()]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"{len(labels)} cells share {len(set(labels))} labels at 9 "
+                         "significant digits; lower the resolution or widen the window")
+    return labels
+
+
 # region flags in CSV column order; bit k of a cell's flag code is field k
 _FLAG_FIELDS = ("deterministic", "lyapunov", "mean_square", "noisy_fht", "pbest_convergence")
 # the row tail ",d,l,m,n,p\n" of each of the 32 flag codes
@@ -164,7 +174,7 @@ _FLAG_TAILS = np.array([",%d,%d,%d,%d,%d\n" % tuple((code >> k) & 1 for k in ran
 
 def write_regions_csv(grid: RegionGrid, path) -> None:
     """One row per cell (omega-major), reals at 9 significant digits,
-    booleans as 0/1.
+    booleans as 0/1; ValueError from `csv_labels` when cells share a label.
 
     The omega and phi labels are formatted once per row and column, and the
     five flags of a cell are packed into one 5-bit code that selects its
@@ -177,12 +187,12 @@ def write_regions_csv(grid: RegionGrid, path) -> None:
     for k, field in enumerate(_FLAG_FIELDS):
         code |= getattr(grid, field).astype(np.uint8) << k
     # a row is w_label + "p_0,%.9g%s" + w_label + "p_1,%.9g%s" + ...
-    cells = ["%.9g," % p + "%.9g%s" for p in grid.phi.tolist()]
+    cells = [p + ",%.9g%s" for p in csv_labels(grid.phi)]
     values = [None] * (2 * len(cells))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(REGIONS_CSV_HEADER + "\n")
-        for w, f1_row, code_row in zip(grid.omega.tolist(), grid.f1, code):
-            w_label = "%.9g," % w
+        for w, f1_row, code_row in zip(csv_labels(grid.omega), grid.f1, code):
+            w_label = w + ","
             values[0::2] = f1_row.tolist()
             values[1::2] = _FLAG_TAILS[code_row].tolist()
             fh.write((w_label + w_label.join(cells)) % tuple(values))

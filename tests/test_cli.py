@@ -135,13 +135,17 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     # infinite bounds or width; a subnormal window whose first centre is its
-    # lower bound; a window too narrow for three distinct centres
+    # lower bound; a window too narrow for three distinct centres; windows
+    # whose distinct centres share 9-digit labels in regions.csv (before,
+    # the phi case wrote 101 distinct labels for 400 columns)
     @pytest.mark.parametrize("window", [
         ["--omega-max", "inf"],
         ["--omega-min=-inf"],
         ["--phi-min=-1e308", "--phi-max", "1e308"],
         ["--omega-max", "5e-324", "--resolution", "2"],
         ["--phi-min", "1", "--phi-max", "1.0000000000000002"],
+        ["--phi-min", "1", "--phi-max", "1.000001", "--resolution", "400"],
+        ["--omega-min", "0.5", "--omega-max", "0.5000001", "--resolution", "400"],
     ])
     def test_degenerate_region_window(self, tmp_path, window):
         rc = main(["regions", "--resolution", "3", *window, "--out", str(tmp_path / "o")])
@@ -264,6 +268,27 @@ class TestSubcommands:
         manifest = (out / "manifest.txt").read_text().splitlines()
         final = [ln.split(" = ")[1] for ln in manifest if ln.startswith("final_g_value")]
         assert np.isfinite(float(final[0]))
+
+    # a random start with rejection (seed 14 redraws it), a random start that
+    # hits while stepping, and an explicit start that is censored
+    @pytest.mark.parametrize("preset, seed, overrides", [
+        ("noisy-sphereplus", 14, ["budget=3000"]),
+        ("noisy-sphereplus", 3, ["budget=600", "objective=sphere", "n=2",
+                                 "require_nonneg_gbest=0", "epsilon=1e-6"]),
+        ("prop1-bad-init", 1, ["budget=200"]),
+    ])
+    def test_simulate_agrees_with_fht_trial_0(self, tmp_path, preset, seed, overrides):
+        common = ["--preset", preset, "--seed", str(seed)]
+        for item in overrides:
+            common += ["--override", item]
+        assert main(["simulate", *common, "--out", str(tmp_path / "s")]) == 0
+        assert main(["fht", *common, "--override", "trials=1", "--threads", "1",
+                     "--out", str(tmp_path / "f")]) == 0
+        manifest = dict(line.split(" = ", 1) for line in
+                        (tmp_path / "s" / "manifest.txt").read_text().splitlines())
+        row = (tmp_path / "f" / "fht.csv").read_text().splitlines()[1].split(",")
+        assert row[0] == "0"
+        assert [manifest["outcome"], manifest["evals"], manifest["final_g_value"]] == row[1:]
 
     def test_stagnate_report(self, tmp_path):
         out = tmp_path / "o"

@@ -152,6 +152,14 @@ class TestRunUntilHit:
         r = engine.run_until_hit(s, 30_000)
         assert r.hit and r.evals_at_hit % 3 == 0 and r.evals_at_hit <= 30_000
 
+    def test_hit_leaves_the_swarm_in_its_hit_state(self):
+        params = _params(m=3, delta=0.05, epsilon=0.005)
+        s = engine.init_swarm(params, sphere(), 33, trial=5)
+        r = engine.run_until_hit(s, 30_000)
+        assert r.hit and s.t > 0
+        assert s.trials == 1 and s.eval_count == r.evals_at_hit
+        assert s.fG[0] == r.final_gbest_value
+
     def test_trace_rows_schema(self):
         params = _params(m=2, n=2, epsilon=1e-9)
         s = engine.init_swarm(params, sphere(), 2)
@@ -359,6 +367,25 @@ def _check_hit_rule(params, f, trials, budget, seed, nonneg=False, X0=None, V0=N
     return evals, entered.astype(bool)
 
 
+class TestStepUntilHit:
+    def test_observer_sees_every_step_and_the_last_hits_stay(self):
+        # epsilon 0.01 on sphere: every trial of 12 hits while stepping, well
+        # inside the budget, and one hits last
+        params = _params(m=2, n=2, delta=0.01, epsilon=0.01)
+        swarm = batch.BatchSwarm(params, sphere(), 12, 8)
+        seen = []
+        res = batch.step_until_hit(swarm, 10_000,
+                                   observe=lambda s: seen.append((s.t, s.trials)))
+        assert (res.hit_evals > 2).all()
+        assert [t for t, _ in seen] == list(range(1, swarm.t + 1))
+        # trials leave the batch as they hit, except the last to hit
+        widths = [w for _, w in seen]
+        assert widths == sorted(widths, reverse=True) and widths[0] == 12
+        last = res.hit_evals == res.hit_evals.max()
+        assert swarm.trials == last.sum() and swarm.eval_count == res.hit_evals.max()
+        assert np.array_equal(swarm.fG, res.final_gbest_value[last])
+
+
 class TestHitRule:
     # hits are read off the global-best value; the replays apply the rule on
     # every fresh value, which agrees because no value is below the optimum
@@ -427,3 +454,18 @@ def test_counterexample_runner_counts_match_a_stepped_swarm(trials):
     mean = np.array(s1) / window
     assert res.window_mean.tobytes() == mean.tobytes()
     assert res.window_var.tobytes() == (np.array(s2) / window - mean * mean).tobytes()
+
+
+def test_fixed_attractor_runs_report_the_start_at_t0():
+    # the chain yields its start as t = 0, so a run of zero steps has a
+    # final step to report (before, the ensemble returned no snapshot)
+    params = make_params(0.4, 1.3, 1.7, 0.01, 0.5, 1e-2, 1, 1)
+    start = batch.run_fixed_attractor_ensemble(params, 0.3, -0.7, 50, 0, 4)
+    assert list(start) == [0]
+    center = (1.3 * 0.3 + 1.7 * -0.7) / 3.0
+    assert (np.abs(start[0] - center) <= 0.5).all()
+    later = batch.run_fixed_attractor_ensemble(params, 0.3, -0.7, 50, 6, 4, checkpoints=(0, 3))
+    assert sorted(later) == [0, 3, 6] and np.array_equal(later[0], start[0])
+    counts = batch.run_improvement_counts(params, 0.3, 50, 0, 0, 4, 1e-5)
+    assert counts.samples == counts.compound_hits == counts.y_tail_hits == 0
+    assert np.allclose(counts.final_positions - 0.3, start[0] - center, rtol=0, atol=1e-15)
