@@ -162,6 +162,8 @@ def resolve_config(args, required=()):
                 raise CliError(f"explicit init needs {key} with m*n = {size} values, got {got}")
         if np.isnan(cfg["positions"]).any():
             raise CliError("explicit init positions must not be NaN")
+    if "budget" in cfg and "m" in cfg and cfg["budget"] < cfg["m"]:
+        raise CliError(f"budget {cfg['budget']} is below one evaluation sweep (m = {cfg['m']})")
     # the objective itself rejects an unknown name or a dimension it does not take
     try:
         get_objective(cfg["objective"]).batch_evaluate(np.zeros((1, max(1, cfg["n"]))))

@@ -83,6 +83,14 @@ class TestExitCodes:
             args += ["--override", item]
         assert main(args) == 2
 
+    # before, both ended in a ValueError traceback with exit 1
+    @pytest.mark.parametrize("command", ["simulate", "fht"])
+    def test_budget_below_one_sweep(self, tmp_path, command):
+        rc = main([command, "--preset", "noisy-sphereplus", "--override", "budget=2",
+                   "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_demo(self, tmp_path):
         rc = main(["demo", "nope", "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 2

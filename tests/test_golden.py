@@ -3,10 +3,10 @@ fixed-attractor runners' arrays, pinned to the bytes the code wrote when they
 were taken.  A change meant to leave every output byte-identical must leave
 these as they are.
 
-The simulation itself calls no LAPACK routine, so the digests do not depend
-on the machine's BLAS/LAPACK build.  The one LAPACK-derived value in these
-artifacts, the oracle variance in the `demo counterexample` report, is
-printed at 6 significant digits.
+The simulation and the region scan call no LAPACK routine, so the digests do
+not depend on the machine's BLAS/LAPACK build.  The one LAPACK-derived value
+in these artifacts, the oracle variance in the `demo counterexample` report,
+is printed at 6 significant digits.
 """
 
 import hashlib
@@ -38,6 +38,7 @@ CLI_RUNS = {
     "demo-counterexample": ["demo", "counterexample", "--override", "trials=4",
                             "--override", "steps=5000", "--override", "window=2000",
                             "--seed", "5"],
+    "regions-svg": ["regions", "--resolution", "40", "--svg"],
 }
 
 # artifact name -> sha-256 of its bytes, per run
@@ -70,6 +71,11 @@ DIGESTS = {
     "demo-counterexample": {
         "manifest.txt": "16d0d533ad45a81760aebd98f1717bf8ae9491da19501780c07b21df64e93c3a",
         "report.txt": "49678b213f2e4c97bd331d9910a01483ee8bad3da35149bf57db7426d6406855",
+    },
+    "regions-svg": {
+        "manifest.txt": "533ad79ae5c36f4887aec45bace4eb73e52a393f090126fd4a0036b84bb19741",
+        "regions.csv": "161a756d698f10d78cd3982d82a69186b9fb3ff7dfd901a80d3833d36939236e",
+        "regions.svg": "a9b0b4a17e4a50480406fa5bfec8fadbef2fbe7d95301724153df742b80a8bfc",
     },
 }
 

@@ -5,6 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from swarmlab import moments
 from swarmlab.core import make_params
 
+from moments_reference import ref_second_moment_blocks, ref_second_moment_radius_grid
+
 
 def _params(omega=0.4, phi1=1.5, phi2=1.5, delta=0.0):
     return make_params(omega, phi1, phi2, delta, 1.0, 0.01, 1, 1)
@@ -248,6 +250,100 @@ class TestSpectralRadius:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             moments.char_cubic_radius(np.zeros((2, 3)))
+
+
+def _assert_matches_reference(omega, phi1, phi2, rel=1e-9):
+    got = moments.second_moment_radius_grid(omega, phi1, phi2)
+    want = ref_second_moment_radius_grid(omega, phi1, phi2)
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_allclose(got, want, rtol=rel, atol=0)
+
+
+class TestRadiusGridClosedForm:
+    """The closed-form cubic root against batched numpy.linalg.eigvals."""
+
+    @pytest.mark.parametrize("phi1, phi2", [(1.5, 1.5), (0.3, 2.0), (4.0, 4.0), (1e-3, 0.0)])
+    def test_omega_zero_double_root_at_zero(self, phi1, phi2):
+        # roots 0, 0 and E[a^2]
+        _assert_matches_reference(0.0, phi1, phi2)
+        ea2 = moments._a_moments(0.0, phi1, phi2)[1]
+        assert moments.second_moment_radius_grid(0.0, phi1, phi2) == pytest.approx(ea2, rel=1e-12)
+
+    @pytest.mark.parametrize("omega", [-0.99, -0.5, 0.0, 0.5, 0.99])
+    def test_deterministic_block_radius_one(self, omega):
+        # roots 1, omega and omega^2
+        _assert_matches_reference(omega, 0.0, 0.0)
+        assert moments.second_moment_radius_grid(omega, 0.0, 0.0) == pytest.approx(1.0, rel=1e-12)
+
+    # omega = -1 repeats the root 1 and omega = 1 triples it: the derivative
+    # vanishes there, so the Newton step must not divide by it
+    @pytest.mark.parametrize("omega", [-1.0, 1.0])
+    def test_repeated_root_at_one(self, omega):
+        assert moments.second_moment_radius_grid(omega, 0.0, 0.0) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("omega, phi1, phi2", [
+        (0.5, 0.0, 1.7), (0.3, 2.2, 0.0), (-0.6, 0.0, 3.1), (0.9, 1e-3, 0.0)])
+    def test_one_phi_zero(self, omega, phi1, phi2):
+        _assert_matches_reference(omega, phi1, phi2)
+
+    @pytest.mark.parametrize("omega, phi1, phi2", [
+        (-0.5, 1.0, 1.0), (-0.9, 0.2, 3.0), (-0.99, 4.0, 4.0), (-0.3, 0.0, 0.0)])
+    def test_negative_omega(self, omega, phi1, phi2):
+        _assert_matches_reference(omega, phi1, phi2)
+
+    # a complex pair never has the largest modulus (see the next test), so
+    # the pair cases are a near tie and a clear real lead
+    @pytest.mark.parametrize("omega, phi1, phi2, pair", [
+        (0.99, 1e-4, 1e-4, True),     # pair modulus within 2e-5 of the real root
+        (0.7, 0.5, 0.5, True),        # pair 0.68, real root 0.74
+        (0.5, 1.5, 1.5, False),       # three real roots, 0.72, -0.35 and -0.5
+        (-0.5, 1.0, 1.0, False),      # three real roots, 1.08, 0.27 and -0.43
+    ])
+    def test_complex_pair_and_real_roots(self, omega, phi1, phi2, pair):
+        ev = np.linalg.eigvals(ref_second_moment_blocks(omega, phi1, phi2))
+        assert (ev.imag != 0).any() == pair
+        _assert_matches_reference(omega, phi1, phi2)
+
+    def test_complex_pair_never_exceeds_real_root(self):
+        # the block maps the cone of positive semidefinite second-moment
+        # matrices into itself, so its spectral radius is a real eigenvalue
+        rng = np.random.default_rng(3)
+        n = 20_000
+        omega, phi1, phi2 = rng.uniform(-0.99, 0.99, n), rng.uniform(0, 4, n), rng.uniform(0, 4, n)
+        ev = np.linalg.eigvals(ref_second_moment_blocks(omega, phi1, phi2))
+        lead = ev[np.arange(n), np.abs(ev).argmax(axis=1)]
+        assert (lead.imag == 0).all() and (lead.real > 0).all()
+        _assert_matches_reference(omega, phi1, phi2)
+
+    # phi1 = phi2 = phi_c puts the depressed cubic's discriminant at zero
+    # (found in 60-digit arithmetic); the points step up to 1e-6 to either side
+    @pytest.mark.parametrize("omega, phi_c", [
+        (0.1, 0.3793041527691764),
+        (0.5, 1.3869989104095424),
+        (0.5, 1.6616607602669204),
+        (0.97, 0.00022530968574642943),
+    ])
+    def test_near_zero_discriminant(self, omega, phi_c):
+        complex_pair = [(np.linalg.eigvals(ref_second_moment_blocks(omega, p, p)).imag != 0).any()
+                        for p in (phi_c - 1e-6, phi_c + 1e-6)]
+        assert complex_pair[0] != complex_pair[1]
+        phi = phi_c + np.array([-1e-6, -1e-8, -1e-10, -1e-12, 0.0, 1e-12, 1e-10, 1e-8, 1e-6])
+        _assert_matches_reference(omega, phi, phi)
+
+    @given(st.floats(-0.99, 0.99), st.floats(0.0, 4.0), st.floats(0.0, 4.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_eigvals_property(self, omega, phi1, phi2):
+        _assert_matches_reference(omega, phi1, phi2)
+
+    def test_default_grid_matches_eigvals(self):
+        res = 400
+        om = (np.arange(res) + 0.5) / res
+        ph = (np.arange(res) + 0.5) / res * 4.0
+        OM, PH = np.meshgrid(om, ph, indexing="ij")
+        got = moments.second_moment_radius_grid(OM, PH, PH)
+        want = ref_second_moment_radius_grid(OM, PH, PH)
+        assert np.abs(got / want - 1.0).max() <= 1e-10
+        assert ((got < 1) == (want < 1)).all()
 
 
 class TestRegionEquivalence:
