@@ -39,7 +39,6 @@ from .stagnation import (
     velocity_sum_bound,
 )
 from .experiments import (
-    ExperimentConfig,
     FhtEstimate,
     counterexample_demo,
     estimate_fht,

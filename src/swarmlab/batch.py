@@ -85,6 +85,8 @@ class BatchSwarm:
     def __init__(self, params: PsoParams, objective: ObjectiveFn, trials: int,
                  master_seed: int, trial_offset: int = 0, init: str = "random",
                  positions=None, velocities=None, require_nonneg_gbest: bool = False):
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
         m, n = params.m, params.n
         self.params = params
         self.objective = objective

@@ -164,6 +164,11 @@ def resolve_config(args, required=()):
             raise CliError("explicit init positions must not be NaN")
     if "budget" in cfg and "m" in cfg and cfg["budget"] < cfg["m"]:
         raise CliError(f"budget {cfg['budget']} is below one evaluation sweep (m = {cfg['m']})")
+    for key in ("trials", "steps", "window", "stride"):
+        if cfg.get(key, 1) < 1:
+            raise CliError(f"{key} must be at least 1, got {cfg[key]}")
+    if "window" in cfg and "steps" in cfg and cfg["window"] > cfg["steps"]:
+        raise CliError(f"window {cfg['window']} exceeds steps {cfg['steps']}")
     # the objective itself rejects an unknown name or a dimension it does not take
     try:
         get_objective(cfg["objective"]).batch_evaluate(np.zeros((1, max(1, cfg["n"]))))
@@ -253,19 +258,22 @@ def _out_dir(args):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _start(cfg, params) -> dict:
+    """The `BatchSwarm` start keywords of the configuration; an explicit start
+    is written flat, particle by particle, and read as (m, n)."""
+    start = {"init": cfg["init"], "require_nonneg_gbest": cfg["require_nonneg_gbest"]}
+    if cfg["init"] == "explicit":
+        for key in ("positions", "velocities"):
+            start[key] = np.reshape(cfg[key], (params.m, params.n))
+    return start
+
+
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args, required=("omega", "phi1", "phi2", "epsilon", "m", "budget"))
     params = _params_from_config(cfg)
     seed = _resolve_seed(args)
-    f = get_objective(cfg["objective"])
-    if cfg["init"] == "explicit":
-        swarm = engine.init_swarm_explicit(
-            params, f, seed,
-            np.asarray(cfg["positions"]).reshape(params.m, params.n),
-            np.asarray(cfg["velocities"]).reshape(params.m, params.n))
-    else:
-        swarm = engine.init_swarm(params, f, seed,
-                                  require_nonneg_gbest=cfg["require_nonneg_gbest"])
+    swarm = engine.init_swarm(params, get_objective(cfg["objective"]), seed,
+                              **_start(cfg, params))
     budget = cfg["budget"]
     stride = cfg.get("stride") or max(1, budget // (1000 * params.m))
     result = engine.run_until_hit(swarm, budget, trace_stride=stride)
@@ -285,13 +293,9 @@ def cmd_fht(args) -> int:
                                          "trials", "budget"))
     params = _params_from_config(cfg)
     seed = _resolve_seed(args)
-    config = experiments.ExperimentConfig(
-        params=params, objective=cfg["objective"], trials=cfg["trials"],
-        budget=cfg["budget"], master_seed=seed, init=cfg["init"],
-        positions=tuple(cfg.get("positions", ())),
-        velocities=tuple(cfg.get("velocities", ())),
-        require_nonneg_gbest=cfg["require_nonneg_gbest"])
-    est = experiments.estimate_fht(config, threads=_threads(args))
+    est = experiments.estimate_fht(params, get_objective(cfg["objective"]), cfg["trials"],
+                                   cfg["budget"], seed, threads=_threads(args),
+                                   **_start(cfg, params))
     out = _out_dir(args)
     rows = ["trial,outcome,evals,final_g_value"]
     for k, (evals, g) in enumerate(zip(est.hit_evals.tolist(),
@@ -418,15 +422,13 @@ def cmd_demo(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, seed=True, config=True):
+def _add_common(sub):
     sub.add_argument("--out", required=True, help="output directory")
-    if config:
-        sub.add_argument("--config", help="flat key = value configuration file")
-        sub.add_argument("--preset", help=f"named preset: {', '.join(sorted(PRESETS))}")
-        sub.add_argument("--override", action="append", metavar="KEY=VALUE",
-                         help="override a configuration key (repeatable)")
-    if seed:
-        sub.add_argument("--seed", help="master seed (integer) or 'auto'")
+    sub.add_argument("--config", help="flat key = value configuration file")
+    sub.add_argument("--preset", help=f"named preset: {', '.join(sorted(PRESETS))}")
+    sub.add_argument("--override", action="append", metavar="KEY=VALUE",
+                     help="override a configuration key (repeatable)")
+    sub.add_argument("--seed", help="master seed (integer) or 'auto'")
     sub.add_argument("--threads", type=int, help="worker threads "
                      "(default: SWARMLAB_THREADS or 1)")
 

@@ -25,14 +25,14 @@ __all__ = [
 
 
 def init_swarm(params: PsoParams, f: ObjectiveFn, seed: int, trial: int = 0,
-               require_nonneg_gbest: bool = False) -> BatchSwarm:
-    """Uniform initialisation of positions and velocities on [-alpha, alpha].
-
-    With require_nonneg_gbest, a start without any nonnegative position is
-    drawn again, as `fht` does.
+               **start) -> BatchSwarm:
+    """Trial `trial` of the seed as a one-trial swarm, started as `fht` starts
+    it: `start` holds the `BatchSwarm` start keywords.  By default positions
+    and velocities are uniform on [-alpha, alpha]; with require_nonneg_gbest,
+    a start without any nonnegative position is drawn again; with
+    init="explicit", the (m, n) positions and velocities are given.
     """
-    return BatchSwarm(params, f, 1, seed, trial,
-                      require_nonneg_gbest=require_nonneg_gbest)
+    return BatchSwarm(params, f, 1, seed, trial, **start)
 
 
 def init_swarm_explicit(params: PsoParams, f: ObjectiveFn, seed: int,

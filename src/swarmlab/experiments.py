@@ -3,9 +3,11 @@ time estimation with censoring, the stagnation demos, the frozen-bests
 counterexample, stationary-moment checks, and the improvement-probability
 constants.
 
-Every experiment is exactly reproducible from its configuration and master
-seed; trials are independent units of work and aggregation order is fixed, so
-thread counts never change results.
+Every experiment is exactly reproducible from its arguments and master seed;
+trials are independent units of work and aggregation order is fixed, so
+thread counts never change results.  `estimate_fht` takes the arguments of
+`batch.run_fht_batch`, and its start keywords go to `batch.BatchSwarm`
+unchanged, so the kernel checks them once for every caller.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from . import batch, moments, stagnation
 from .core import ObjectiveFn, PsoParams, get_objective
 
 __all__ = [
-    "ExperimentConfig",
     "FhtEstimate",
     "estimate_fht",
     "wilson_interval",
@@ -36,41 +37,6 @@ __all__ = [
 ]
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A fully-specified batch of independent trials."""
-
-    params: PsoParams
-    objective: str
-    trials: int
-    budget: int
-    master_seed: int
-    init: str = "random"                  # "random" | "explicit"
-    positions: tuple = ()                 # explicit init, length m (1-D) or m*n
-    velocities: tuple = ()
-    require_nonneg_gbest: bool = False
-    sampled_statistics: tuple = ()        # optional eval checkpoints for the survival curve
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.budget < self.params.m:
-            raise ValueError("budget must be >= m")
-        if self.init not in ("random", "explicit"):
-            raise ValueError(f"unknown init mode {self.init!r}")
-        if self.init == "explicit" and (len(self.positions) == 0 or len(self.velocities) == 0):
-            raise ValueError("explicit init requires positions and velocities")
-
-    def objective_fn(self) -> ObjectiveFn:
-        return get_objective(self.objective)
-
-    def init_arrays(self):
-        m, n = self.params.m, self.params.n
-        X = np.asarray(self.positions, dtype=np.float64).reshape(m, n)
-        V = np.asarray(self.velocities, dtype=np.float64).reshape(m, n)
-        return X, V
 
 
 def wilson_interval(successes: int, n: int, z: float = _WILSON_Z):
@@ -118,32 +84,31 @@ class FhtEstimate:
         return out
 
 
-def estimate_fht(config: ExperimentConfig, threads: int = 1,
-                 position_ball_radius: float | None = None) -> FhtEstimate:
-    """Run `config.trials` independent trials with split random streams.
+def estimate_fht(params: PsoParams, objective: ObjectiveFn, trials: int, budget: int,
+                 master_seed: int, *, threads: int = 1,
+                 position_ball_radius: float | None = None, **start) -> FhtEstimate:
+    """Run `trials` independent trials with split random streams.
 
-    Censored trials are excluded from the hit-time statistics and reported
-    separately; no imputation.  With threads > 1 the trial range is split into
-    contiguous blocks whose results are concatenated in block order, so the
-    outcome is identical for any thread count.  With position_ball_radius set,
-    `entered_position_ball` covers each trial's own run, up to its hit or the
-    budget, so it too is independent of the thread count.
+    The arguments are those of `batch.run_fht_batch`; `start` holds the
+    `BatchSwarm` start keywords (`init`, `positions`, `velocities`,
+    `require_nonneg_gbest`).  Censored trials are excluded from the hit-time
+    statistics and reported separately; no imputation.  With threads > 1 the
+    trial range is split into contiguous blocks whose results are
+    concatenated in block order, so the outcome is identical for any thread
+    count.  With position_ball_radius set, `entered_position_ball` covers
+    each trial's own run, up to its hit or the budget, so it too is
+    independent of the thread count.
     """
-    f = config.objective_fn()
-    pos, vel = (config.init_arrays() if config.init == "explicit" else (None, None))
-
     def run_block(offset, count):
-        return batch.run_fht_batch(
-            config.params, f, count, config.budget, config.master_seed,
-            trial_offset=offset, init=config.init, positions=pos, velocities=vel,
-            require_nonneg_gbest=config.require_nonneg_gbest,
-            position_ball_radius=position_ball_radius)
+        return batch.run_fht_batch(params, objective, count, budget, master_seed,
+                                   trial_offset=offset,
+                                   position_ball_radius=position_ball_radius, **start)
 
-    threads = max(1, min(threads, config.trials))
+    threads = max(1, min(threads, trials))
     if threads == 1:
-        results = [run_block(0, config.trials)]
+        results = [run_block(0, trials)]
     else:
-        bounds = np.linspace(0, config.trials, threads + 1).astype(int)
+        bounds = np.linspace(0, trials, threads + 1).astype(int)
         blocks = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda ab: run_block(*ab), blocks))
@@ -156,18 +121,15 @@ def estimate_fht(config: ExperimentConfig, threads: int = 1,
     hits = int(hit_mask.sum())
     times = hit_evals[hit_mask]
     sorted_times = np.sort(times)
-    if config.sampled_statistics:
-        points = sorted(int(e) for e in config.sampled_statistics)
-    else:
-        points = np.unique(sorted_times).tolist() + [config.budget]
+    points = np.unique(sorted_times).tolist() + [budget]
     hit_by = np.searchsorted(sorted_times, points, side="right").tolist()
-    curve = [(e, (config.trials - k) / config.trials) for e, k in zip(points, hit_by)]
-    lo, hi = wilson_interval(hits, config.trials)
+    curve = [(e, (trials - k) / trials) for e, k in zip(points, hit_by)]
+    lo, hi = wilson_interval(hits, trials)
     return FhtEstimate(
-        trials=config.trials,
-        budget=config.budget,
+        trials=trials,
+        budget=budget,
         hits=hits,
-        censored=config.trials - hits,
+        censored=trials - hits,
         mean_over_hits=float(times.mean()) if hits else None,
         median_over_hits=float(np.median(times)) if hits else None,
         survival_curve=curve,
@@ -342,20 +304,6 @@ class StationaryMomentReport:
     oracle_mean: float
     oracle_var: float
 
-    def lines(self):
-        return [
-            f"trials = {self.trials}",
-            f"burn_in = {self.burn_in}",
-            f"horizon = {self.horizon}",
-            f"empirical_mean = {self.empirical_mean:.6g} (se {self.se_mean:.3g})",
-            f"empirical_var = {self.empirical_var:.6g} (se {self.se_var:.3g})",
-            f"mid_window_var = {self.mid_window_var:.6g}",
-            f"closed_form_mean = {self.closed_form_mean:.6g}",
-            f"closed_form_var = {self.closed_form_var:.6g}",
-            f"oracle_mean = {self.oracle_mean:.6g}",
-            f"oracle_var = {self.oracle_var:.6g}",
-        ]
-
 
 def stationary_moment_check(params: PsoParams, p_best: float, g_best: float,
                             trials: int, burn_in: int, horizon: int,
@@ -406,16 +354,6 @@ class ImprovementProbabilityReport:
     compound_threshold: float     # 3e-5
     sigma_y_sq: float
     sigma_y_sq_bound: float       # delta^2 / 6
-
-    def lines(self):
-        return [
-            f"samples = {self.samples}",
-            f"eps_prime = {self.eps_prime:.6g}",
-            f"analytic_noise_tail = {self.analytic_noise_tail:.6g} (exact 1e-4)",
-            f"y_tail_freq = {self.y_tail_freq:.6g} (chebyshev bound {self.y_tail_bound:.6g})",
-            f"compound_freq = {self.compound_freq:.6g} (threshold {self.compound_threshold:.6g})",
-            f"sigma_y_squared = {self.sigma_y_sq:.6g} (bound {self.sigma_y_sq_bound:.6g})",
-        ]
 
 
 def noise_tail_probability(tail_fraction: float = 0.4999) -> float:
@@ -468,16 +406,6 @@ class PbestNullSequenceReport:
     horizon: int
     median_initial_gap_sq: float
     median_ratio_at: dict      # t -> median gap_sq(t) / gap_sq(0)
-
-    def lines(self):
-        out = [
-            f"trials = {self.trials}",
-            f"horizon = {self.horizon}",
-            f"median_initial_gap_sq = {self.median_initial_gap_sq:.6g}",
-        ]
-        for t in sorted(self.median_ratio_at):
-            out.append(f"median_gap_ratio_t{t} = {self.median_ratio_at[t]:.6g}")
-        return out
 
 
 def pbest_null_sequence_check(params: PsoParams, trials: int, horizon: int,

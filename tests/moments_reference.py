@@ -7,9 +7,15 @@ eigenvalue modulus from `numpy.linalg.eigvals`, one LAPACK call per cell.
 `swarmlab.moments` solves the block's characteristic cubic in closed form on
 the whole grid at once; comparing the two checks the closed form against a
 general eigensolver.
+
+Near the triple root at omega = 1, phi -> 0, `eigvals` itself is off by a few
+parts in 1e9, so `assert_largest_real_root_near` checks a radius against the
+block's characteristic polynomial in exact rational arithmetic instead.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,3 +46,39 @@ def ref_second_moment_radius_grid(omega, phi1, phi2) -> np.ndarray:
     blocks = ref_second_moment_blocks(omega, phi1, phi2)
     ev = np.linalg.eigvals(blocks.reshape(-1, 3, 3))
     return np.abs(ev).max(axis=1).reshape(blocks.shape[:-2])
+
+
+def _exact_block(omega, phi1, phi2):
+    """The block of `ref_second_moment_blocks` at one cell, every entry the
+    exact rational value at the float inputs, from E[R] = E[S] = 1/2,
+    E[R^2] = E[S^2] = 1/3 and E[RS] = 1/4."""
+    w, p1, p2 = Fraction(omega), Fraction(phi1), Fraction(phi2)
+    ea = 1 + w - (p1 + p2) / 2
+    ea2 = (1 + w) ** 2 - (1 + w) * (p1 + p2) + p1 * p1 / 3 + p1 * p2 / 2 + p2 * p2 / 3
+    return [[ea2, -2 * w * ea, w * w], [ea, -w, 0], [1, 0, 0]]
+
+
+def assert_largest_real_root_near(omega, phi1, phi2, radius, rel=1e-9):
+    """Assert that the largest real root of p(mu) = det(mu I - A), A the
+    exact block at (omega, phi1, phi2), lies in [lo, hi] = radius (1 -+ rel).
+
+    p is a monic cubic, so p(lo) <= 0 <= p(hi) puts a root in [lo, hi], and
+    p'(hi) > 0 with p''(hi) > 0 makes p increasing and convex beyond hi, so no
+    root lies above it."""
+    A = _exact_block(omega, phi1, phi2)
+    trace = A[0][0] + A[1][1] + A[2][2]
+    minors = (A[0][0] * A[1][1] - A[0][1] * A[1][0]
+              + A[0][0] * A[2][2] - A[0][2] * A[2][0]
+              + A[1][1] * A[2][2] - A[1][2] * A[2][1])
+    det = (A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
+           - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
+           + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0]))
+
+    def p(mu):
+        return ((mu - trace) * mu + minors) * mu - det
+
+    radius, rel = Fraction(float(radius)), Fraction(rel)
+    lo, hi = radius * (1 - rel), radius * (1 + rel)
+    assert p(lo) <= 0 <= p(hi), f"no root of the block's cubic in [{float(lo)!r}, {float(hi)!r}]"
+    assert 3 * hi * hi - 2 * trace * hi + minors > 0, "p'(hi) <= 0: a root may lie above hi"
+    assert 6 * hi - 2 * trace > 0, "p''(hi) <= 0: a root may lie above hi"

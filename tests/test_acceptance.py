@@ -16,8 +16,7 @@ from scipy.integrate import quad
 
 from swarmlab import engine, experiments, moments, regions, stagnation
 from swarmlab.cli import main as cli_main
-from swarmlab.core import PURPOSE_NOISE, make_params, sphere, stream_base
-from swarmlab.experiments import ExperimentConfig
+from swarmlab.core import PURPOSE_NOISE, make_params, sphere, sphere_plus, stream_base
 from swarmlab.stagnation import TwoParticleInit
 from swarmlab import batch
 
@@ -74,10 +73,9 @@ def test_criterion_03_single_particle_drift():
         worst_rel = max(worst_rel, abs(swarm.X[0, 0, 0] - x_ref) / abs(x_ref))
         if v_ref != 0.0:
             worst_rel = max(worst_rel, abs(swarm.V[0, 0, 0] - v_ref) / abs(v_ref))
-    cfg = ExperimentConfig(params=params, objective="sphere", trials=100,
-                           budget=1_000_000, master_seed=302, init="explicit",
-                           positions=(x0,), velocities=(v0,))
-    est = experiments.estimate_fht(cfg, position_ball_radius=params.epsilon * params.alpha)
+    est = experiments.estimate_fht(params, f, 100, 1_000_000, 302,
+                                   position_ball_radius=params.epsilon * params.alpha,
+                                   init="explicit", positions=[x0], velocities=[v0])
     entered = int(est.entered_position_ball.sum())
     ok = worst_rel <= 1e-12 and est.censored == 100 and est.hits == 0 and entered == 0
     assert _report(3, ok, f"closed-form match rel err {worst_rel:.2e} over 1e4 steps; "
@@ -182,10 +180,8 @@ def test_criterion_08_noisy_finite_fht():
     medians = []
     hits = []
     for seed in (808_001, 808_002):
-        cfg = ExperimentConfig(params=params, objective="sphere_plus", trials=100,
-                               budget=10_000_000, master_seed=seed,
-                               require_nonneg_gbest=True)
-        est = experiments.estimate_fht(cfg)
+        est = experiments.estimate_fht(params, sphere_plus(), 100, 10_000_000, seed,
+                                       require_nonneg_gbest=True)
         hits.append(est.hits)
         medians.append(est.median_over_hits)
     spread = abs(medians[0] - medians[1]) / (0.5 * (medians[0] + medians[1]))

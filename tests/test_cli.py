@@ -91,6 +91,26 @@ class TestExitCodes:
         assert rc == 2
         assert not (tmp_path / "o").exists()
 
+    # before: tracebacks (fht and stagnate at trials = 0, a window longer than
+    # the run), reports of nan or inf (window = 0, steps < 0), or stride 1
+    # run under a manifest echoing stride = 0
+    @pytest.mark.parametrize("command, overrides", [
+        (["fht", "--preset", "noisy-sphereplus"], ["trials=0", "budget=100"]),
+        (["stagnate", "--preset", "thm2-example"], ["trials=0", "steps=10"]),
+        (["demo", "counterexample"], ["trials=2", "steps=10", "window=0"]),
+        (["demo", "counterexample"], ["trials=2", "steps=10", "window=11"]),
+        (["stagnate", "--preset", "thm2-example"], ["trials=2", "steps=-3"]),
+        (["simulate", "--preset", "prop1-bad-init"], ["budget=100", "stride=0"]),
+    ], ids=["fht-trials-0", "stagnate-trials-0", "demo-window-0",
+            "demo-window-beyond-steps", "stagnate-steps-negative", "simulate-stride-0"])
+    def test_count_key_below_one_or_window_beyond_steps(self, tmp_path, command,
+                                                         overrides):
+        args = [*command, "--seed", "1", "--out", str(tmp_path / "o")]
+        for item in overrides:
+            args += ["--override", item]
+        assert main(args) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_demo(self, tmp_path):
         rc = main(["demo", "nope", "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 2

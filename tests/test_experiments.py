@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from swarmlab import experiments, moments
-from swarmlab.core import make_params
-from swarmlab.experiments import ExperimentConfig, wilson_interval
+from swarmlab.core import get_objective, make_params
+from swarmlab.experiments import estimate_fht, wilson_interval
 from swarmlab.stagnation import TwoParticleInit
 
 
@@ -16,16 +16,13 @@ def _noisy_params(**kw):
 
 class TestExperimentConfig:
     def test_validation(self):
-        p = _noisy_params()
+        p, f = _noisy_params(), get_objective("sphere")
         with pytest.raises(ValueError):
-            ExperimentConfig(params=p, objective="sphere", trials=0, budget=100,
-                             master_seed=1)
+            estimate_fht(p, f, 0, 100, 1)
         with pytest.raises(ValueError):
-            ExperimentConfig(params=p, objective="sphere", trials=1, budget=1,
-                             master_seed=1)
+            estimate_fht(p, f, 1, 1, 1)
         with pytest.raises(ValueError):
-            ExperimentConfig(params=p, objective="sphere", trials=1, budget=100,
-                             master_seed=1, init="explicit")
+            estimate_fht(p, f, 1, 100, 1, init="explicit")
 
 
 class TestWilson:
@@ -39,64 +36,45 @@ class TestWilson:
 class TestEstimateFht:
     def test_initial_inside_ball_hits_with_m_evals(self):
         p = _noisy_params(m=2, epsilon=0.5)
-        cfg = ExperimentConfig(params=p, objective="sphere", trials=10, budget=1000,
-                               master_seed=4, init="explicit",
-                               positions=(0.1, 3.0), velocities=(0.0, 0.0))
-        est = experiments.estimate_fht(cfg)
+        est = estimate_fht(p, get_objective("sphere"), 10, 1000, 4, init="explicit",
+                           positions=(0.1, 3.0), velocities=(0.0, 0.0))
         assert est.hits == 10 and est.censored == 0
         assert np.all(est.hit_evals == 2)
         assert est.mean_over_hits == 2.0 and est.median_over_hits == 2.0
 
     def test_prop1_configuration_censors(self):
         p = make_params(0.5, 1.5, 1.5, 0, 1, 0.5, 1, 1)
-        cfg = ExperimentConfig(params=p, objective="sphere", trials=20, budget=5000,
-                               master_seed=4, init="explicit",
-                               positions=(0.9,), velocities=(-0.05,))
-        est = experiments.estimate_fht(cfg, position_ball_radius=0.5)
+        est = estimate_fht(p, get_objective("sphere"), 20, 5000, 4, position_ball_radius=0.5,
+                           init="explicit", positions=(0.9,), velocities=(-0.05,))
         assert est.hits == 0 and est.censored == 20
         assert est.mean_over_hits is None
 
     def test_noisy_positive_axis_hits(self):
-        cfg = ExperimentConfig(params=_noisy_params(), objective="sphere_plus",
-                               trials=25, budget=100_000, master_seed=11,
-                               require_nonneg_gbest=True)
-        est = experiments.estimate_fht(cfg)
+        est = estimate_fht(_noisy_params(), get_objective("sphere_plus"), 25, 100_000, 11,
+                           require_nonneg_gbest=True)
         assert est.hits == 25
         assert est.wilson_low > 0.8
 
     def test_survival_curve_non_increasing_and_anchored(self):
-        cfg = ExperimentConfig(params=_noisy_params(), objective="sphere_plus",
-                               trials=30, budget=30_000, master_seed=5,
-                               require_nonneg_gbest=True)
-        est = experiments.estimate_fht(cfg)
+        est = estimate_fht(_noisy_params(), get_objective("sphere_plus"), 30, 30_000, 5,
+                           require_nonneg_gbest=True)
         fracs = [f for _, f in est.survival_curve]
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
-        assert est.survival_curve[-1][0] == cfg.budget
-
-    def test_requested_survival_checkpoints(self):
-        cfg = ExperimentConfig(params=_noisy_params(), objective="sphere_plus",
-                               trials=20, budget=30_000, master_seed=5,
-                               require_nonneg_gbest=True,
-                               sampled_statistics=(3, 30, 300, 3000))
-        est = experiments.estimate_fht(cfg)
-        assert [e for e, _ in est.survival_curve] == [3, 30, 300, 3000]
+        assert est.survival_curve[-1][0] == 30_000
 
     def test_threads_do_not_change_results(self):
-        cfg = ExperimentConfig(params=_noisy_params(), objective="sphere_plus",
-                               trials=16, budget=20_000, master_seed=8,
-                               require_nonneg_gbest=True)
-        a = experiments.estimate_fht(cfg, threads=1)
-        b = experiments.estimate_fht(cfg, threads=3)
+        args = (_noisy_params(), get_objective("sphere_plus"), 16, 20_000, 8)
+        a = estimate_fht(*args, threads=1, require_nonneg_gbest=True)
+        b = estimate_fht(*args, threads=3, require_nonneg_gbest=True)
         assert np.array_equal(a.hit_evals, b.hit_evals)
         assert np.array_equal(a.final_gbest_values, b.final_gbest_values)
 
     def test_position_ball_entries_do_not_depend_on_threads(self):
         # a hit trial stops moving, whatever the other trials of its block do
         p = make_params(0.6, 1.5, 1.5, 1e-3, 1, 1e-2, 2, 1)
-        cfg = ExperimentConfig(params=p, objective="sphere", trials=200,
-                               budget=20_000, master_seed=9)
-        a = experiments.estimate_fht(cfg, threads=1, position_ball_radius=1e-3)
-        b = experiments.estimate_fht(cfg, threads=2, position_ball_radius=1e-3)
+        args = (p, get_objective("sphere"), 200, 20_000, 9)
+        a = estimate_fht(*args, threads=1, position_ball_radius=1e-3)
+        b = estimate_fht(*args, threads=2, position_ball_radius=1e-3)
         assert np.array_equal(a.entered_position_ball, b.entered_position_ball)
         assert a.entered_position_ball.any()
 
@@ -104,10 +82,9 @@ class TestEstimateFht:
         p = _noisy_params(delta=0.005, epsilon=0.002)
         censored = []
         for budget in (300, 3000, 30_000):
-            cfg = ExperimentConfig(params=p, objective="sphere_plus", trials=40,
-                                   budget=budget, master_seed=13,
-                                   require_nonneg_gbest=True)
-            censored.append(experiments.estimate_fht(cfg).censored)
+            est = estimate_fht(p, get_objective("sphere_plus"), 40, budget, 13,
+                               require_nonneg_gbest=True)
+            censored.append(est.censored)
         assert censored[0] >= censored[1] >= censored[2]
 
 

@@ -23,6 +23,12 @@ from swarmlab.core import make_params
 _SPHERE2 = ["--preset", "noisy-sphereplus", "--override", "objective=sphere",
             "--override", "n=2", "--override", "require_nonneg_gbest=0",
             "--override", "epsilon=1e-6"]
+# an explicit start at m = 2, n = 2, written flat in particle-major order;
+# trial 0 of the fht run is censored, as is the simulate run
+_EXPLICIT22 = ["--preset", "prop1-bad-init", "--override", "m=2", "--override", "n=2",
+               "--override", "positions=0.9,-0.3,0.4,0.7",
+               "--override", "velocities=-0.05,0.1,0.0,-0.2",
+               "--override", "epsilon=1e-2", "--override", "budget=100", "--seed", "9"]
 
 CLI_RUNS = {
     "simulate-hit": ["simulate", *_SPHERE2, "--override", "budget=600",
@@ -31,6 +37,8 @@ CLI_RUNS = {
                           "budget=200", "--override", "stride=10", "--seed", "1"],
     "fht-sphere": ["fht", *_SPHERE2, "--override", "budget=150", "--override", "trials=40",
                    "--seed", "42", "--threads", "1"],
+    "fht-explicit-m2n2": ["fht", *_EXPLICIT22, "--override", "trials=20", "--threads", "2"],
+    "simulate-explicit-m2n2": ["simulate", *_EXPLICIT22, "--override", "stride=3"],
     "fht-noisy-sphereplus": ["fht", "--preset", "noisy-sphereplus", "--override", "budget=9",
                              "--override", "trials=30", "--seed", "42", "--threads", "1"],
     "stagnate": ["stagnate", "--preset", "thm2-example", "--override", "trials=30",
@@ -56,6 +64,16 @@ DIGESTS = {
         "manifest.txt": "f098329e832c56ba302ff6572886769b70136b9a03103a73596732349972446a",
         "summary.txt": "56b9242b57abb0c41d85ab1672eefa33f64b10a049d48eb15caa51dce457e3e2",
         "survival.csv": "bcd3eacfdd5c0bce08564859b2f34cc6d75f9d4445a02cbf4d28a50979d81090",
+    },
+    "fht-explicit-m2n2": {
+        "fht.csv": "cd54c8e61ae3db874fadee6637726acceeccc2bee8f43b7c34329cb12484632e",
+        "manifest.txt": "471daa29909d4a3c330928ba45e92b62ea3aed13c4ce8e0ab09d3607d85f735b",
+        "summary.txt": "c94aaebfb995371a7b3f297c3fddfcc42a90f69f1eea65ff9c89c70c6a077c3e",
+        "survival.csv": "f123fac96f944b38e183d3f4394a19ba427d3b9f592b5d1e30ee891a0ae7b857",
+    },
+    "simulate-explicit-m2n2": {
+        "manifest.txt": "aaf455ccbb25a0821368d04d6a52b8245ebc3d5d01a6cbc0bbd92f48a9f7f1d6",
+        "trajectory.csv": "65b330a65af9759cbcb1012dcd394ab0cdb366c1a3dba78d4ab387f7aeb77bcf",
     },
     "fht-noisy-sphereplus": {
         "fht.csv": "59a8854e02d92368b33cdce40ac665476a3586b6e3363ab71f35f67afb324cc4",
