@@ -23,6 +23,12 @@ improves leaves every best array as it is, and the hit test is skipped;
 `step` keeps its strict-improvement mask as `improved`; and hits are read off
 the (trials,) global-best value, which the `ObjectiveFn` contract (no value
 below the optimum value) makes the same test as one on every fresh value.
+
+A term whose weight is zero hashes no draws: with phi1 = 0 (the stagnation
+construction) the R block is phi1 itself, a zero with phi1's sign, which is
+what phi1 * u is for every draw u in [0, 1).  `step` still multiplies it in,
+since 0 * (P - X) is NaN at an infinite position and a +0.0 term can change
+the sign of a -0.0 velocity.
 """
 
 from __future__ import annotations
@@ -91,10 +97,11 @@ class BatchSwarm:
         self.params = params
         self.objective = objective
         self.trials = trials
-        self._base_r = stream_base(master_seed, PURPOSE_R, trials, m, n, trial_offset)
-        self._base_s = stream_base(master_seed, PURPOSE_S, trials, m, n, trial_offset)
-        self._base_d = (stream_base(master_seed, PURPOSE_NOISE, trials, m, n, trial_offset)
-                        if params.delta > 0 else None)
+        # a stream whose term is zero (phi1, phi2 or delta) is never hashed
+        self._base_r, self._base_s, self._base_d = (
+            stream_base(master_seed, purpose, trials, m, n, trial_offset) if weight else None
+            for purpose, weight in ((PURPOSE_R, params.phi1), (PURPOSE_S, params.phi2),
+                                    (PURPOSE_NOISE, params.delta)))
         if init == "random":
             base_x = stream_base(master_seed, PURPOSE_INIT_X, trials, m, n, trial_offset)
             base_v = stream_base(master_seed, PURPOSE_INIT_V, trials, m, n, trial_offset)
@@ -169,16 +176,25 @@ class BatchSwarm:
     def _draws(self):
         """Scaled attraction factors phi1 * R and phi2 * S and the noise term D
         (None when delta == 0) of step t, from a block of `_block_steps` steps
-        hashed and scaled in one call each."""
+        hashed and scaled in one call each.
+
+        A zero weight's block is the weight itself, hashed from no draw: every
+        draw u is finite and in [0, 1), so phi * u is a zero with phi's sign.
+        The block keeps its full shape, so `keep` cuts it like any other."""
         if self.t >= self._block_end:
             p = self.params
             steps = np.arange(self.t, self.t + self._block_steps, dtype=np.uint64)
             steps = steps.reshape(-1, 1, 1, 1)
+            shape = (self._block_steps, self.trials, p.m, p.n)
+
+            def attraction(phi, base):
+                return np.full(shape, phi) if base is None else phi * step_uniform(base, steps)
+
             D = None
             if self._base_d is not None:
                 D = p.delta * (step_uniform(self._base_d, steps) - 0.5)
-            self._block = (p.phi1 * step_uniform(self._base_r, steps),
-                           p.phi2 * step_uniform(self._base_s, steps), D)
+            self._block = (attraction(p.phi1, self._base_r),
+                           attraction(p.phi2, self._base_s), D)
             self._block_start, self._block_end = self.t, self.t + self._block_steps
         k = self.t - self._block_start
         R, S, D = self._block
@@ -320,7 +336,6 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
     sample_set = set(int(t) for t in d_sample_times)
     entered = np.zeros(trials, dtype=bool)
     sum_abs_v = np.zeros((trials, 2))
-    sum_va, sum_vb = sum_abs_v[:, 0], sum_abs_v[:, 1]
     valid = np.ones(trials, dtype=bool)
     min_pos = np.full(trials, np.inf)
     d_abs_at = {}
@@ -332,11 +347,13 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
         # particle axis costs several times as much at 10^4 trials
         xa, xb = swarm.X[:, 0, 0], swarm.X[:, 1, 0]
         va, vb = swarm.V[:, 0, 0], swarm.V[:, 1, 0]
+        # min and max propagate NaN, so each sign test fails on a NaN as the
+        # two per-particle tests would
+        x_min = np.minimum(xa, xb)
         entered |= (np.abs(xa) <= ball_radius) | (np.abs(xb) <= ball_radius)
-        sum_va += np.abs(va)
-        sum_vb += np.abs(vb)
-        valid &= (xa >= 0) & (xb >= 0) & (va <= 0) & (vb <= 0)
-        np.minimum(min_pos, np.minimum(xa, xb), out=min_pos)
+        sum_abs_v += np.abs(swarm.V[:, :, 0])
+        valid &= (x_min >= 0) & (np.maximum(va, vb) <= 0)
+        np.minimum(min_pos, x_min, out=min_pos)
         if t in sample_set:
             d_abs_at[t] = np.abs(xb - xa)
             valid_at[t] = valid.copy()

@@ -12,7 +12,6 @@ unchanged, so the kernel checks them once for every caller.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +107,9 @@ def estimate_fht(params: PsoParams, objective: ObjectiveFn, trials: int, budget:
     if threads == 1:
         results = [run_block(0, trials)]
     else:
+        # imported here: a single-threaded process never loads the pool module
+        from concurrent.futures import ThreadPoolExecutor
+
         bounds = np.linspace(0, trials, threads + 1).astype(int)
         blocks = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with ThreadPoolExecutor(max_workers=threads) as pool:

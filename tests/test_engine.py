@@ -4,6 +4,8 @@ import pytest
 from swarmlab import batch, engine
 from swarmlab.core import (
     PURPOSE_NOISE,
+    PURPOSE_R,
+    PURPOSE_S,
     RngStream,
     counterexample,
     make_params,
@@ -171,6 +173,40 @@ class TestRunUntilHit:
         assert all(isinstance(row[3], float) for row in r.trace)
 
 
+def _check_draw_blocks(phi1, phi2):
+    """Draw blocks of 3 steps (800 x 3 x 2 elements), so 10 steps cross 3
+    blocks: each block against the hashed draws scaled by its weight, zero
+    signs included, and the sampled trials against the scalar reference."""
+    params = make_params(0.4, phi1, phi2, 0.01, 1, 1e-4, 3, 2)
+    f = sphere()
+    seed, trials = 31, 800
+    sw = batch.BatchSwarm(params, f, trials=trials, master_seed=seed)
+    assert sw._block_steps == 3
+    # a zero weight's stream is not hashed, so the swarm holds no base for it
+    base_r, base_s = (stream_base(seed, purpose, trials, params.m, params.n)
+                      for purpose in (PURPOSE_R, PURPOSE_S))
+    sampled = [0, 1, 417, 799]
+    rngs = {k: RngStream(seed, trial=k) for k in sampled}
+    states = {k: ref_init(params, f, rngs[k]) for k in sampled}
+    for t in range(10):
+        R, S, D = sw._draws()   # R and S come scaled by phi1 and phi2
+        for block, phi, base in ((R, phi1, base_r), (S, phi2, base_s)):
+            want = phi * step_uniform(base, t)
+            assert block.shape == want.shape
+            assert np.array_equal(block, want)
+            assert np.array_equal(np.signbit(block), np.signbit(want))
+        assert np.array_equal(D, 0.01 * (step_uniform(sw._base_d, t) - 0.5))
+        sw.step()
+        for k in sampled:
+            states[k] = ref_step(states[k], params, f, rngs[k])
+            assert np.array_equal(states[k].positions, sw.X[k])
+            assert np.array_equal(np.signbit(states[k].velocities), np.signbit(sw.V[k]))
+            assert np.array_equal(states[k].velocities, sw.V[k])
+            assert np.array_equal(states[k].pbest_values, sw.fP[k])
+            assert np.array_equal(states[k].gbest_position, sw.G[k])
+    assert sw._block_start == 9
+
+
 class TestBatchEquivalence:
     @pytest.mark.parametrize("delta", [0.0, 0.01])
     def test_engine_and_batch_bitwise_equal(self, delta):
@@ -210,28 +246,42 @@ class TestBatchEquivalence:
             assert np.array_equal(s.positions, sw.X[k])
 
     def test_draw_blocks_cross_boundaries_bitwise(self):
-        # 800 x 3 x 2 elements: blocks of 3 steps, so 10 steps cross 3 blocks
-        params = make_params(0.4, 1.5, 1.5, 0.01, 1, 1e-4, 3, 2)
+        _check_draw_blocks(1.5, 1.5)
+
+    @pytest.mark.parametrize("phi1, phi2", [
+        (0.0, 1.5), (-0.0, 1.5), (1.5, 0.0), (1.5, -0.0), (0.0, -0.0),
+    ])
+    def test_zero_weight_draw_blocks_cross_boundaries_bitwise(self, phi1, phi2):
+        # a zero weight's block is hashed from no draw and must carry its sign
+        _check_draw_blocks(phi1, phi2)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_zero_weights_keep_the_multiply_on_an_infinite_start(self):
+        # with phi1 = phi2 = 0 the attraction terms are 0 * (P - X) and
+        # 0 * (G - X): NaN at an infinite position (inf - inf, G - inf), and
+        # +0.0 that turns omega * V = -0.0 into +0.0 in trial 2.  Dropping the
+        # terms would leave omega * V, finite and -0.0 there
+        params = make_params(0.5, 0.0, 0.0, 0.0, 1, 1e-12, 2, 1)
         f = sphere()
-        seed, trials = 31, 800
-        sw = batch.BatchSwarm(params, f, trials=trials, master_seed=seed)
-        assert sw._block_steps == 3
-        sampled = [0, 1, 417, 799]
-        rngs = {k: RngStream(seed, trial=k) for k in sampled}
-        states = {k: ref_init(params, f, rngs[k]) for k in sampled}
-        for t in range(10):
-            R, S, D = sw._draws()   # R and S come scaled by phi1 and phi2
-            assert np.array_equal(R, 1.5 * step_uniform(sw._base_r, t))
-            assert np.array_equal(S, 1.5 * step_uniform(sw._base_s, t))
-            assert np.array_equal(D, 0.01 * (step_uniform(sw._base_d, t) - 0.5))
+        X0 = np.array([[[np.inf], [0.3]], [[-np.inf], [0.2]], [[0.4], [0.0]]])
+        V0 = np.array([[[0.1], [-0.0]], [[-0.0], [0.0]], [[-0.0], [-0.0]]])
+        seed, trials = 6, len(X0)
+        sw = batch.BatchSwarm(params, f, trials, seed, init="explicit",
+                              positions=X0, velocities=V0)
+        rngs = [RngStream(seed, trial=k) for k in range(trials)]
+        states = [ref_explicit(f, X0[k], V0[k]) for k in range(trials)]
+        for _ in range(4):
             sw.step()
-            for k in sampled:
+            for k in range(trials):
                 states[k] = ref_step(states[k], params, f, rngs[k])
-                assert np.array_equal(states[k].positions, sw.X[k])
-                assert np.array_equal(states[k].velocities, sw.V[k])
+                for want, got in ((states[k].positions, sw.X[k]),
+                                  (states[k].velocities, sw.V[k])):
+                    assert np.array_equal(want, got, equal_nan=True)
+                    num = ~np.isnan(want)
+                    assert np.array_equal(np.signbit(want[num]), np.signbit(got[num]))
                 assert np.array_equal(states[k].pbest_values, sw.fP[k])
-                assert np.array_equal(states[k].gbest_position, sw.G[k])
-        assert sw._block_start == 9
+        assert np.isnan(sw.V[:2, 0, 0]).all() and np.isnan(sw.X[:2, 0, 0]).all()
+        assert (sw.V[2] == 0.0).all() and not np.signbit(sw.V[2]).any()
 
 
 def test_one_trial_swarm_is_trial_zero_of_the_batch():
@@ -407,6 +457,19 @@ class TestHitRule:
         assert ((evals > m) & (evals <= budget)).any()   # hits while stepping
         assert (evals == -1).any()                       # censored
         assert entered[evals > 0].any() and not entered.all()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("phi1, phi2", [(0.0, 1.7), (-0.0, 1.7), (1.3, 0.0)])
+    def test_zero_weight_matches_the_scalar_replay(self, m, phi1, phi2):
+        # a zero weight's draw block is filled, not hashed; trials hit at
+        # several steps of one draw block, so dropping them cuts that block
+        params = make_params(0.6, phi1, phi2, 0.01, 1, 0.05, m, 2)
+        budget = 8 * m
+        assert batch.BatchSwarm(params, sphere(), 40, 80 + m)._block_steps > budget // m
+        evals, entered = _check_hit_rule(params, sphere(), 40, budget, 80 + m)
+        assert (evals == m).any() and (evals == -1).any()
+        assert len(set(evals[evals > m].tolist())) >= 4
+        assert entered.any()
 
     @pytest.mark.parametrize("name, f", [
         ("sphere", sphere()),

@@ -37,6 +37,10 @@ CLI_RUNS = {
                           "budget=200", "--override", "stride=10", "--seed", "1"],
     "fht-sphere": ["fht", *_SPHERE2, "--override", "budget=150", "--override", "trials=40",
                    "--seed", "42", "--threads", "1"],
+    # phi1 = 0: the R term is a block of zeros; trials hit at 16 different
+    # steps inside one 68-step draw block, so dropping them cuts that block
+    "fht-phi1-zero": ["fht", *_SPHERE2, "--override", "phi1=0.0", "--override", "budget=150",
+                      "--override", "trials=40", "--seed", "42", "--threads", "1"],
     "fht-explicit-m2n2": ["fht", *_EXPLICIT22, "--override", "trials=20", "--threads", "2"],
     "simulate-explicit-m2n2": ["simulate", *_EXPLICIT22, "--override", "stride=3"],
     "fht-noisy-sphereplus": ["fht", "--preset", "noisy-sphereplus", "--override", "budget=9",
@@ -64,6 +68,12 @@ DIGESTS = {
         "manifest.txt": "f098329e832c56ba302ff6572886769b70136b9a03103a73596732349972446a",
         "summary.txt": "56b9242b57abb0c41d85ab1672eefa33f64b10a049d48eb15caa51dce457e3e2",
         "survival.csv": "bcd3eacfdd5c0bce08564859b2f34cc6d75f9d4445a02cbf4d28a50979d81090",
+    },
+    "fht-phi1-zero": {
+        "fht.csv": "03c7e439911a39eaefbc2d0080b4e7c32b7121ea7f4a8e83bf2e41fe94de9d77",
+        "manifest.txt": "94f05b09fb7e1d4c7847519b6a84c06ee0bb064aa4c315dadba42b00e324148d",
+        "summary.txt": "7b4c26e067194cc049b9aeac452fb3ad4bbd3b593506c11fc542d4189904736d",
+        "survival.csv": "9315251299d2c9c95e0a143052f408f8b6c0cbfb86c9d1ef37cf9405ccb46b1a",
     },
     "fht-explicit-m2n2": {
         "fht.csv": "cd54c8e61ae3db874fadee6637726acceeccc2bee8f43b7c34329cb12484632e",
