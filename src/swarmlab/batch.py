@@ -132,9 +132,10 @@ class BatchSwarm:
             if X0.shape not in ((m, n), (trials, m, n)) or V0.shape != X0.shape:
                 raise ValueError(f"explicit init must have shape ({m}, {n}) "
                                  f"or ({trials}, {m}, {n})")
-            if np.isnan(X0).any():
-                # a NaN value would break the `ObjectiveFn` contract the bests rest on
-                raise ValueError("explicit init positions must not be NaN")
+            if not (np.isfinite(X0).all() and np.isfinite(V0).all()):
+                # a NaN value would break the `ObjectiveFn` contract the bests
+                # rest on, and an infinite start turns into NaN on its first step
+                raise ValueError("explicit init positions and velocities must be finite")
             X = np.broadcast_to(X0, (trials, m, n)).copy()
             V = np.broadcast_to(V0, (trials, m, n)).copy()
         else:
@@ -330,6 +331,8 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
     """
     if params.m != 2 or params.n != 1:
         raise ValueError("two-particle demo requires m=2, n=1")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     swarm = BatchSwarm(params, objective, trials, master_seed, init="explicit",
                        positions=np.asarray(x0, dtype=np.float64),
                        velocities=np.asarray(v0, dtype=np.float64))
@@ -385,8 +388,8 @@ def run_counterexample_batch(params: PsoParams, objective: ObjectiveFn,
     """
     if params.m != 2 or params.n != 1:
         raise ValueError("counterexample demo requires m=2, n=1")
-    if window > steps:
-        raise ValueError("window cannot exceed steps")
+    if not 1 <= window <= steps:
+        raise ValueError(f"window must be in [1, steps = {steps}], got {window}")
     swarm = BatchSwarm(params, objective, trials, master_seed, init="explicit",
                        positions=np.array([[0.0], [1.0]]),
                        velocities=np.zeros((2, 1)))

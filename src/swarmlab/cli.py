@@ -11,6 +11,11 @@ exactly by repeatable `--override key=value` flags.  Every run writes a
 manifest echoing the fully-resolved configuration, the seed, and sha-256
 checksums of all written artifacts.  Randomised commands refuse to run
 without an explicit `--seed` (or `--seed auto`).
+
+The library checks each rule about a run's input, before any output exists,
+and `main` turns its `ValueError` into exit code 2.  This module adds only
+what the library cannot see: keys, value syntax, missing keys, `simulate`'s
+stride, `moments`' bests, and that `stagnate` and `demo` get what they run.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from .stagnation import TwoParticleInit, velocity_sum_bound
 __all__ = ["main"]
 
 
-class CliError(Exception):
-    """Configuration or validation problem; exits with code 2."""
+class CliError(ValueError):
+    """A problem only the command line can see; exits with code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +140,7 @@ def _read_config_file(path):
 
 
 def resolve_config(args, required=()):
-    """Merge preset, config file, and overrides (later wins)."""
+    """Merge preset, config file, and overrides (later wins); check keys only."""
     cfg = dict(_DEFAULTS)
     preset = getattr(args, "preset", None)
     if preset:
@@ -152,39 +157,12 @@ def resolve_config(args, required=()):
     missing = [k for k in required if k not in cfg]
     if missing:
         raise CliError(f"missing configuration keys: {', '.join(missing)}")
-    if cfg["init"] not in ("random", "explicit"):
-        raise CliError(f"init must be 'random' or 'explicit', got {cfg['init']!r}")
-    if cfg["init"] == "explicit" and "m" in cfg:
-        size = cfg["m"] * cfg["n"]
-        for key in ("positions", "velocities"):
-            got = len(cfg.get(key, ()))
-            if got != size:
-                raise CliError(f"explicit init needs {key} with m*n = {size} values, got {got}")
-        if np.isnan(cfg["positions"]).any():
-            raise CliError("explicit init positions must not be NaN")
-    if "budget" in cfg and "m" in cfg and cfg["budget"] < cfg["m"]:
-        raise CliError(f"budget {cfg['budget']} is below one evaluation sweep (m = {cfg['m']})")
-    for key in ("trials", "steps", "window", "stride"):
-        if cfg.get(key, 1) < 1:
-            raise CliError(f"{key} must be at least 1, got {cfg[key]}")
-    if "window" in cfg and "steps" in cfg and cfg["window"] > cfg["steps"]:
-        raise CliError(f"window {cfg['window']} exceeds steps {cfg['steps']}")
-    # the objective itself rejects an unknown name or a dimension it does not take
-    try:
-        get_objective(cfg["objective"]).batch_evaluate(np.zeros((1, max(1, cfg["n"]))))
-    except ValueError as exc:
-        raise CliError(f"invalid objective: {exc}") from None
     return cfg
 
 
 def _params_from_config(cfg) -> PsoParams:
-    try:
-        return make_params(cfg["omega"], cfg["phi1"], cfg["phi2"], cfg["delta"],
-                           cfg["alpha"], cfg["epsilon"], cfg["m"], cfg["n"])
-    except KeyError as exc:
-        raise CliError(f"missing configuration key {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise CliError(f"invalid parameters: {exc}") from None
+    return make_params(cfg["omega"], cfg["phi1"], cfg["phi2"], cfg["delta"],
+                       cfg["alpha"], cfg["epsilon"], cfg["m"], cfg["n"])
 
 
 def _resolve_seed(args) -> int:
@@ -264,7 +242,7 @@ def _start(cfg, params) -> dict:
     start = {"init": cfg["init"], "require_nonneg_gbest": cfg["require_nonneg_gbest"]}
     if cfg["init"] == "explicit":
         for key in ("positions", "velocities"):
-            start[key] = np.reshape(cfg[key], (params.m, params.n))
+            start[key] = np.reshape(cfg.get(key, ()), (params.m, params.n))
     return start
 
 
@@ -275,7 +253,9 @@ def cmd_simulate(args) -> int:
     swarm = engine.init_swarm(params, get_objective(cfg["objective"]), seed,
                               **_start(cfg, params))
     budget = cfg["budget"]
-    stride = cfg.get("stride") or max(1, budget // (1000 * params.m))
+    stride = cfg.get("stride", max(1, budget // (1000 * params.m)))
+    if stride < 1:
+        raise CliError(f"stride must be at least 1, got {stride}")
     result = engine.run_until_hit(swarm, budget, trace_stride=stride)
     out = _out_dir(args)
     rows = [engine.TRAJECTORY_HEADER]
@@ -312,13 +292,10 @@ def cmd_fht(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    try:
-        grid = regions.scan_regions((args.omega_min, args.omega_max),
-                                    (args.phi_min, args.phi_max), args.resolution)
-        for axis in (grid.omega, grid.phi):   # regions.csv must tell cells apart
-            regions.csv_labels(axis)
-    except ValueError as exc:
-        raise CliError(f"regions: {exc}") from None
+    grid = regions.scan_regions((args.omega_min, args.omega_max),
+                                (args.phi_min, args.phi_max), args.resolution)
+    for axis in (grid.omega, grid.phi):   # regions.csv must tell cells apart
+        regions.csv_labels(axis)
     out = _out_dir(args)
     regions.write_regions_csv(grid, out / "regions.csv")
     names = ["regions.csv"]
@@ -336,8 +313,10 @@ def cmd_regions(args) -> int:
 def cmd_stagnate(args) -> int:
     cfg = resolve_config(args, required=("omega", "phi1", "phi2", "epsilon",
                                          "positions", "velocities", "trials", "steps"))
-    if cfg.get("m", 2) != 2 or len(cfg["positions"]) != 2:
+    if cfg.get("m", 2) != 2 or len(cfg["positions"]) != 2 or len(cfg["velocities"]) != 2:
         raise CliError("stagnate requires a two-particle configuration")
+    if cfg["objective"] != "sphere":
+        raise CliError(f"stagnate runs the sphere objective, not {cfg['objective']!r}")
     cfg["m"] = 2
     params = _params_from_config(cfg)
     seed = _resolve_seed(args)
@@ -345,10 +324,7 @@ def cmd_stagnate(args) -> int:
                            v1=cfg["velocities"][0], v2=cfg["velocities"][1])
     # the report states this bound; its conditions (0 < omega < 1, phi2 > 0,
     # kappa < 1) are checked here, before the simulation, not after it
-    try:
-        velocity_sum_bound(params, init)
-    except ValueError as exc:
-        raise CliError(f"stagnate: {exc}") from None
+    velocity_sum_bound(params, init)
     report = experiments.stagnation_demo_two_particles(
         params, init, trials=cfg["trials"], steps=cfg["steps"], master_seed=seed,
         ball_radius=cfg.get("ball_radius"))
@@ -369,10 +345,7 @@ def cmd_moments(args) -> int:
         phi1, phi2 = args.phi1, args.phi2
     if phi1 is None or phi2 is None:
         raise CliError("pass --phi or both --phi1 and --phi2")
-    try:
-        params = make_params(args.omega, phi1, phi2, args.delta, 1.0, 1e-2, 1, 1)
-    except ValueError as exc:
-        raise CliError(f"invalid parameters: {exc}") from None
+    params = make_params(args.omega, phi1, phi2, args.delta, 1.0, 1e-2, 1, 1)
     p_best, g_best = args.p_best, args.g_best
     if not (np.isfinite(p_best) and np.isfinite(g_best)):
         raise CliError(f"--p-best and --g-best must be finite, got {p_best!r}, {g_best!r}")
@@ -383,7 +356,7 @@ def cmd_moments(args) -> int:
     rho = moments.char_cubic_radius(block)
     table = [("f_one", f1), ("f_one_asymmetric_variant", f1_alt),
              ("second_moment_spectral_radius", rho)]
-    if f1 > 0 and 0 <= params.omega < 1 and phi1 + phi2 > 0:
+    if regions.in_mean_square_region(params.omega, phi1, phi2):
         stat = moments.stationary_moments(params, p_best, g_best)
         table += [
             ("mean_limit_closed_form", moments.equilibrium_point(params, p_best, g_best)),
@@ -406,7 +379,11 @@ def cmd_demo(args) -> int:
         raise CliError(f"unknown demo {args.name!r}; available: counterexample")
     if not getattr(args, "preset", None):
         args.preset = "sec4-counterexample"
-    cfg = resolve_config(args, required=("trials", "steps", "window"))
+    cfg = resolve_config(args, required=("omega", "phi1", "phi2", "epsilon", "m",
+                                         "trials", "steps", "window"))
+    if cfg["objective"] != "counterexample":
+        raise CliError(f"demo counterexample runs the counterexample objective, "
+                       f"not {cfg['objective']!r}")
     params = _params_from_config(cfg)
     seed = _resolve_seed(args)
     report = experiments.counterexample_demo(
@@ -484,7 +461,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:   # a CliError or an input the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -92,8 +92,10 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     # before: tracebacks (fht and stagnate at trials = 0, a window longer than
-    # the run), reports of nan or inf (window = 0, steps < 0), or stride 1
-    # run under a manifest echoing stride = 0
+    # the run, demo at m = 3, stagnate with one velocity), reports of nan or
+    # inf (window = 0, steps < 0), stride 1 run under a manifest echoing
+    # stride = 0, or stagnate and demo reports under a manifest naming an
+    # objective they did not run
     @pytest.mark.parametrize("command, overrides", [
         (["fht", "--preset", "noisy-sphereplus"], ["trials=0", "budget=100"]),
         (["stagnate", "--preset", "thm2-example"], ["trials=0", "steps=10"]),
@@ -101,8 +103,19 @@ class TestExitCodes:
         (["demo", "counterexample"], ["trials=2", "steps=10", "window=11"]),
         (["stagnate", "--preset", "thm2-example"], ["trials=2", "steps=-3"]),
         (["simulate", "--preset", "prop1-bad-init"], ["budget=100", "stride=0"]),
+        (["demo", "counterexample"], ["m=3", "positions=0,1,2", "velocities=0,0,0",
+                                      "trials=2", "steps=10", "window=5"]),
+        (["stagnate", "--preset", "thm2-example"], ["velocities=-1", "trials=2", "steps=10"]),
+        (["simulate", "--preset", "noisy-sphereplus"], ["init=explicit", "budget=100"]),
+        (["fht", "--preset", "noisy-sphereplus"], ["init=explicit", "trials=2", "budget=100"]),
+        (["stagnate", "--preset", "thm2-example"],
+         ["objective=counterexample", "trials=2", "steps=10"]),
+        (["demo", "counterexample"], ["objective=sphere", "trials=2", "steps=10", "window=5"]),
     ], ids=["fht-trials-0", "stagnate-trials-0", "demo-window-0",
-            "demo-window-beyond-steps", "stagnate-steps-negative", "simulate-stride-0"])
+            "demo-window-beyond-steps", "stagnate-steps-negative", "simulate-stride-0",
+            "demo-m-3", "stagnate-one-velocity", "simulate-explicit-without-positions",
+            "fht-explicit-without-positions", "stagnate-objective-counterexample",
+            "demo-objective-sphere"])
     def test_count_key_below_one_or_window_beyond_steps(self, tmp_path, command,
                                                          overrides):
         args = [*command, "--seed", "1", "--out", str(tmp_path / "o")]
@@ -133,7 +146,9 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     # a NaN passes an ordering check such as delta < 0; before, these ran
-    # and reported results (fht: every trial a hit at delta = nan)
+    # and reported results (fht: every trial a hit at delta = nan), and so
+    # did an explicit start at an infinite position or a NaN velocity (every
+    # trial censored)
     @pytest.mark.parametrize("command, preset, override", [
         ("fht", "noisy-sphereplus", "delta=nan"),
         ("fht", "noisy-sphereplus", "epsilon=nan"),
@@ -144,6 +159,12 @@ class TestExitCodes:
         ("simulate", "noisy-sphereplus", "epsilon=inf"),
         ("simulate", "noisy-sphereplus", "alpha=inf"),
         ("simulate", "prop1-bad-init", "phi1=nan"),
+        ("simulate", "prop1-bad-init", "positions=inf"),
+        ("simulate", "prop1-bad-init", "velocities=nan"),
+        ("fht", "prop1-bad-init", "positions=inf"),
+        ("fht", "prop1-bad-init", "velocities=nan"),
+        ("stagnate", "thm2-example", "positions=inf,185"),
+        ("stagnate", "thm2-example", "velocities=nan,-1"),
     ])
     def test_non_finite_swarm_parameter(self, tmp_path, command, preset, override):
         rc = main([command, "--preset", preset, "--override", override,

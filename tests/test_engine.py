@@ -59,9 +59,13 @@ class TestInit:
             engine.init_swarm_explicit(_params(m=2), sphere(), 0, [1.0, 2.0], [0.0])
 
     def test_nan_position_rejected(self):
-        # its value would be NaN, which no objective may return
-        with pytest.raises(ValueError):
-            engine.init_swarm_explicit(_params(m=2), sphere(), 0, [0.5, np.nan], [0.0, 0.0])
+        # a NaN position's value would be NaN, which no objective may return;
+        # an infinite position or a non-finite velocity turns into NaN on the
+        # first step, which a run would report as censoring
+        for bad in (np.nan, np.inf, -np.inf):
+            for X0, V0 in (([0.5, bad], [0.0, 0.0]), ([0.5, 0.2], [bad, 0.0])):
+                with pytest.raises(ValueError, match="must be finite"):
+                    engine.init_swarm_explicit(_params(m=2), sphere(), 0, X0, V0)
 
     def test_argmin_tie_breaks_to_lowest_index(self):
         s = _explicit([2.0, -2.0, 3.0], [0.0, 0.0, 0.0], sphere())
@@ -256,15 +260,18 @@ class TestBatchEquivalence:
         _check_draw_blocks(phi1, phi2)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_zero_weights_keep_the_multiply_on_an_infinite_start(self):
         # with phi1 = phi2 = 0 the attraction terms are 0 * (P - X) and
-        # 0 * (G - X): NaN at an infinite position (inf - inf, G - inf), and
+        # 0 * (G - X): NaN at an infinite position (P - inf, G - inf), and
         # +0.0 that turns omega * V = -0.0 into +0.0 in trial 2.  Dropping the
-        # terms would leave omega * V, finite and -0.0 there
+        # terms would leave omega * V, finite and -0.0 there.  An explicit
+        # start must be finite, so trials 0 and 1 reach +-inf by overflow:
+        # X_1 = 1.7e308 + 0.5 * 1e308
         params = make_params(0.5, 0.0, 0.0, 0.0, 1, 1e-12, 2, 1)
         f = sphere()
-        X0 = np.array([[[np.inf], [0.3]], [[-np.inf], [0.2]], [[0.4], [0.0]]])
-        V0 = np.array([[[0.1], [-0.0]], [[-0.0], [0.0]], [[-0.0], [-0.0]]])
+        X0 = np.array([[[1.7e308], [0.3]], [[-1.7e308], [0.2]], [[0.4], [0.0]]])
+        V0 = np.array([[[1e308], [-0.0]], [[-1e308], [0.0]], [[-0.0], [-0.0]]])
         seed, trials = 6, len(X0)
         sw = batch.BatchSwarm(params, f, trials, seed, init="explicit",
                               positions=X0, velocities=V0)
