@@ -24,7 +24,7 @@ from .moments import (
     stationary_variance,
     variance_limit,
 )
-from .regions import RegionVerdict, region_verdict, scan_regions
+from .regions import scan_regions
 from .stagnation import (
     StagnationVerdict,
     TwoParticleInit,

@@ -142,11 +142,9 @@ class BatchSwarm:
             raise ValueError(f"unknown init mode {init!r}")
         self.X = X
         self.V = V
-        values = objective.batch_evaluate(X)
         self.P = X.copy()
-        self.fP = values.copy()
+        self.fP = objective.batch_evaluate(X)
         self.G, self.fG = _global_best(self.P, self.fP)
-        self.values = values
         self.improved = None   # (trials, m) personal-best updates of the last step
         self.t = 0
         self.eval_count = params.m
@@ -164,7 +162,7 @@ class BatchSwarm:
         cut to the kept rows; the next block is sized for the narrower batch.
         """
         rows = np.asarray(rows, dtype=np.intp)
-        for name in ("X", "V", "P", "fP", "G", "fG", "values", "improved",
+        for name in ("X", "V", "P", "fP", "G", "fG", "improved",
                      "_base_r", "_base_s", "_base_d"):
             a = getattr(self, name)
             if a is not None:
@@ -229,7 +227,7 @@ class BatchSwarm:
             self.P = np.where(improved[:, :, None], X, self.P)
             self.fP = np.where(improved, values, self.fP)
             self.G, self.fG = _global_best(self.P, self.fP)
-        self.X, self.V, self.values, self.improved = X, V, values, improved
+        self.X, self.V, self.improved = X, V, improved
         self.t += 1
         self.eval_count += self.params.m
         return values
@@ -242,7 +240,6 @@ class FhtBatchResult:
     # (trials,) bool: a particle of the trial entered the position ball at some
     # step of its own run, up to its hit or the budget; None when not tracked
     entered_position_ball: np.ndarray | None
-    budget: int
 
 
 def step_until_hit(swarm: BatchSwarm, budget: int, *,
@@ -299,7 +296,7 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *,
         if observe is not None:
             observe(swarm)
     return FhtBatchResult(hit_evals=hit_evals, final_gbest_value=final_g,
-                          entered_position_ball=entered, budget=budget)
+                          entered_position_ball=entered)
 
 
 def run_fht_batch(params: PsoParams, objective: ObjectiveFn, trials: int, budget: int,
@@ -318,7 +315,6 @@ class TwoParticleBatchResult:
     d_abs_at: dict                  # t -> (trials,) |D_t|
     valid_at: dict                  # t -> (trials,) sign prerequisites held through t
     min_position: np.ndarray        # (trials,)
-    steps: int
 
 
 def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
@@ -362,7 +358,7 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
             valid_at[t] = valid.copy()
     return TwoParticleBatchResult(entered_ball=entered, sum_abs_v=sum_abs_v,
                                   d_abs_at=d_abs_at, valid_at=valid_at,
-                                  min_position=min_pos, steps=steps)
+                                  min_position=min_pos)
 
 
 @dataclass(frozen=True)
@@ -370,10 +366,7 @@ class CounterexampleBatchResult:
     pbest_updates: np.ndarray     # (trials, m) strict-improvement counts
     particle1_moved: np.ndarray   # (trials,) bool
     gap_sq_final: np.ndarray      # (trials,) final (G - P_2)^2
-    window_mean: np.ndarray       # (trials,) particle-2 position mean over window
     window_var: np.ndarray        # (trials,) particle-2 position variance over window
-    steps: int
-    window: int
 
 
 def run_counterexample_batch(params: PsoParams, objective: ObjectiveFn,
@@ -411,10 +404,7 @@ def run_counterexample_batch(params: PsoParams, objective: ObjectiveFn,
         pbest_updates=updates,
         particle1_moved=(swarm.X[:, 0, 0] != 0.0) | (swarm.V[:, 0, 0] != 0.0),
         gap_sq_final=(swarm.G[:, 0] - swarm.P[:, 1, 0]) ** 2,
-        window_mean=mean,
         window_var=var,
-        steps=steps,
-        window=window,
     )
 
 

@@ -14,8 +14,9 @@ without an explicit `--seed` (or `--seed auto`).
 
 The library checks each rule about a run's input, before any output exists,
 and `main` turns its `ValueError` into exit code 2.  This module adds only
-what the library cannot see: keys, value syntax, missing keys, `simulate`'s
-stride, `moments`' bests, and that `stagnate` and `demo` get what they run.
+what the library cannot see: keys, value syntax, missing keys, the length of
+a flat explicit start, `simulate`'s stride, `moments`' bests, and that
+`stagnate` and `demo` get what they run.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import engine, experiments, moments, regions
 from .core import PsoParams, get_objective, make_params
-from .stagnation import TwoParticleInit, velocity_sum_bound
+from .stagnation import TwoParticleInit
 
 __all__ = ["main"]
 
@@ -178,12 +179,15 @@ def _resolve_seed(args) -> int:
 
 
 def _threads(args) -> int:
-    """Worker threads from --threads or SWARMLAB_THREADS, within [1, cpu count]."""
-    if getattr(args, "threads", None) is not None:
-        n = args.threads
-    else:
+    """Worker threads from --threads or SWARMLAB_THREADS, read as `int()`
+    reads them and clamped to [1, cpu count]; unset or empty means 1."""
+    n = getattr(args, "threads", None)
+    if n is None:
         env = os.environ.get("SWARMLAB_THREADS", "")
-        n = int(env) if env.isdigit() else 1
+        try:
+            n = int(env) if env else 1
+        except ValueError:
+            raise CliError(f"SWARMLAB_THREADS must be an integer, got {env!r}") from None
     return max(1, min(n, os.cpu_count() or 1))
 
 
@@ -241,8 +245,13 @@ def _start(cfg, params) -> dict:
     is written flat, particle by particle, and read as (m, n)."""
     start = {"init": cfg["init"], "require_nonneg_gbest": cfg["require_nonneg_gbest"]}
     if cfg["init"] == "explicit":
+        m, n = params.m, params.n
         for key in ("positions", "velocities"):
-            start[key] = np.reshape(cfg.get(key, ()), (params.m, params.n))
+            values = cfg.get(key, ())
+            if len(values) != m * n:
+                raise CliError(f"explicit {key} needs m x n = {m} x {n} = {m * n} "
+                               f"values, got {len(values)}")
+            start[key] = np.reshape(values, (m, n))
     return start
 
 
@@ -322,9 +331,6 @@ def cmd_stagnate(args) -> int:
     seed = _resolve_seed(args)
     init = TwoParticleInit(x1=cfg["positions"][0], x2=cfg["positions"][1],
                            v1=cfg["velocities"][0], v2=cfg["velocities"][1])
-    # the report states this bound; its conditions (0 < omega < 1, phi2 > 0,
-    # kappa < 1) are checked here, before the simulation, not after it
-    velocity_sum_bound(params, init)
     report = experiments.stagnation_demo_two_particles(
         params, init, trials=cfg["trials"], steps=cfg["steps"], master_seed=seed,
         ball_radius=cfg.get("ball_radius"))
@@ -345,7 +351,7 @@ def cmd_moments(args) -> int:
         phi1, phi2 = args.phi1, args.phi2
     if phi1 is None or phi2 is None:
         raise CliError("pass --phi or both --phi1 and --phi2")
-    params = make_params(args.omega, phi1, phi2, args.delta, 1.0, 1e-2, 1, 1)
+    params = PsoParams(omega=args.omega, phi1=phi1, phi2=phi2, delta=args.delta)
     p_best, g_best = args.p_best, args.g_best
     if not (np.isfinite(p_best) and np.isfinite(g_best)):
         raise CliError(f"--p-best and --g-best must be finite, got {p_best!r}, {g_best!r}")
@@ -386,9 +392,8 @@ def cmd_demo(args) -> int:
                        f"not {cfg['objective']!r}")
     params = _params_from_config(cfg)
     seed = _resolve_seed(args)
-    report = experiments.counterexample_demo(
-        trials=cfg["trials"], steps=cfg["steps"], window=cfg["window"],
-        master_seed=seed, params=params)
+    report = experiments.counterexample_demo(params, cfg["trials"], cfg["steps"],
+                                             cfg["window"], seed)
     out = _out_dir(args)
     _write_lines(out / "report.txt", report.lines())
     write_manifest(out, "demo", seed, cfg, ["report.txt"])

@@ -71,10 +71,6 @@ class PsoParams:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"dimension n must be an integer >= 1, got {self.n}")
 
-    @property
-    def is_noisy(self) -> bool:
-        return self.delta > 0
-
 
 def make_params(omega, phi1, phi2, delta, alpha, epsilon, m, n) -> PsoParams:
     """Validate and build a PsoParams tuple; raises ValueError on bad input."""

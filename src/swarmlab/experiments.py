@@ -38,10 +38,11 @@ __all__ = [
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-def wilson_interval(successes: int, n: int, z: float = _WILSON_Z):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int):
+    """Two-sided 95% Wilson score interval for a binomial proportion."""
     if n == 0:
         return 0.0, 1.0
+    z = _WILSON_Z
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -186,8 +187,7 @@ class StagnationDemoReport:
 
 def stagnation_demo_two_particles(params: PsoParams, init: stagnation.TwoParticleInit,
                                   trials: int, steps: int, master_seed: int,
-                                  ball_radius: float | None = None,
-                                  d_sample_times=(10, 50, 200)) -> StagnationDemoReport:
+                                  ball_radius: float | None = None) -> StagnationDemoReport:
     """Monte Carlo check of the two-particle stagnation bounds.
 
     Runs the swarm from the explicit two-particle start; the cognitive pull
@@ -195,23 +195,29 @@ def stagnation_demo_two_particles(params: PsoParams, init: stagnation.TwoParticl
     analysed social-only dynamics are exact (the demo is conventionally run
     with phi1 = 0 to make this explicit).  Distance-bound comparisons retain
     only trials whose sign prerequisites held through the sample time.
+
+    The velocity-sum bound is evaluated before the simulation, so parameters
+    that break its conditions (0 < omega < 1, phi2 > 0, kappa < 1) raise
+    ValueError before any step is taken.
     """
+    velocity_bound = stagnation.velocity_sum_bound(params, init)
+    verdict = stagnation.check_two_particle_stagnation(params, init)
     if ball_radius is None:
         ball_radius = params.epsilon
     f = get_objective("sphere")
     res = batch.run_two_particle_demo(
         params, f, [init.x1, init.x2], [init.v1, init.v2],
-        trials, steps, master_seed, ball_radius, d_sample_times)
-    k = float(stagnation.kappa(params.omega, params.phi2))
+        trials, steps, master_seed, ball_radius)
     rows = []
     for t in sorted(res.d_abs_at):
         keep = res.valid_at[t]
         vals = res.d_abs_at[t][keep]
-        bound = stagnation.d_abs_expectation_bound(t, init, k)
+        bound = stagnation.d_abs_expectation_bound(t, init, verdict.kappa)
         se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else np.inf
         rows.append((t, int(keep.sum()), float(vals.mean()), se, bound))
     mean_v = res.sum_abs_v.mean(axis=0)
-    se_v = res.sum_abs_v.std(axis=0, ddof=1) / np.sqrt(trials)
+    se_v = (res.sum_abs_v.std(axis=0, ddof=1) / np.sqrt(trials) if trials > 1
+            else np.full(2, np.inf))
     return StagnationDemoReport(
         trials=trials,
         steps=steps,
@@ -219,9 +225,9 @@ def stagnation_demo_two_particles(params: PsoParams, init: stagnation.TwoParticl
         n_entered_ball=int(res.entered_ball.sum()),
         mean_sum_abs_v=mean_v,
         se_sum_abs_v=se_v,
-        velocity_sum_bound=stagnation.velocity_sum_bound(params, init),
+        velocity_sum_bound=velocity_bound,
         d_rows=rows,
-        verdict=stagnation.check_two_particle_stagnation(params, init),
+        verdict=verdict,
         min_position=float(res.min_position.min()),
     )
 
@@ -259,18 +265,14 @@ class CounterexampleReport:
         ]
 
 
-def counterexample_demo(trials: int = 100, steps: int = 1_000_000,
-                        window: int = 100_000, master_seed: int = 0,
-                        params: PsoParams | None = None) -> CounterexampleReport:
+def counterexample_demo(params: PsoParams, trials: int, steps: int, window: int,
+                        master_seed: int) -> CounterexampleReport:
     """Runs the three-valued objective from the frozen configuration: the
     leader sits at the optimum with zero velocity; the follower's personal
     best can almost surely never improve, so its position follows the
     fixed-attractor recurrence with bests (1, 0) exactly and its long-run
     variance matches the oracle fixed point instead of shrinking to zero.
     """
-    if params is None:
-        params = PsoParams(omega=0.4, phi1=1.5, phi2=1.5, delta=0.0,
-                           alpha=1.0, epsilon=1e-2, m=2, n=1)
     f = get_objective("counterexample")
     res = batch.run_counterexample_batch(params, f, trials, steps, window, master_seed)
     return CounterexampleReport(
@@ -281,7 +283,8 @@ def counterexample_demo(trials: int = 100, steps: int = 1_000_000,
         particle1_ever_moved=bool(res.particle1_moved.any()),
         gap_sq_always_one=bool(np.all(res.gap_sq_final == 1.0)),
         empirical_var_mean=float(res.window_var.mean()),
-        empirical_var_se=float(res.window_var.std(ddof=1) / np.sqrt(trials)),
+        empirical_var_se=(float(res.window_var.std(ddof=1) / np.sqrt(trials))
+                          if trials > 1 else np.inf),
         oracle_var=moments.stationary_variance(params, 1.0, 0.0),
         closed_form_var=moments.variance_limit(params, 1.0, 0.0),
     )
@@ -358,10 +361,10 @@ class ImprovementProbabilityReport:
     sigma_y_sq_bound: float       # delta^2 / 6
 
 
-def noise_tail_probability(tail_fraction: float = 0.4999) -> float:
-    """Exact measure of {noise < -tail_fraction * delta} under the uniform
-    noise law on [-delta/2, delta/2]; independent of delta."""
-    return max(0.0, 0.5 - tail_fraction)
+def noise_tail_probability() -> float:
+    """Exact measure of {noise < -0.4999 delta} under the uniform noise law
+    on [-delta/2, delta/2]; independent of delta."""
+    return max(0.0, 0.5 - 0.4999)
 
 
 def improvement_probability_check(params: PsoParams, trials: int, master_seed: int,

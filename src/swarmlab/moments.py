@@ -216,8 +216,6 @@ def variance_limit(params: PsoParams, p_best: float, g_best: float) -> float:
 class MomentLimits:
     mean_limit: float
     var_limit: float
-    f1: float
-    ms_stable: bool
 
 
 def moment_limits(params: PsoParams, p_best: float, g_best: float) -> MomentLimits:
@@ -230,7 +228,7 @@ def moment_limits(params: PsoParams, p_best: float, g_best: float) -> MomentLimi
                   and params.phi1 + params.phi2 < 4 * (1 + params.omega))
     mean = equilibrium_point(params, p_best, g_best)
     var = variance_limit(params, p_best, g_best) if stable else np.inf
-    return MomentLimits(mean_limit=mean, var_limit=var, f1=f1, ms_stable=stable)
+    return MomentLimits(mean_limit=mean, var_limit=var)
 
 
 def second_moment_block(M: np.ndarray) -> np.ndarray:

@@ -14,13 +14,11 @@ import numpy as np
 from .moments import f_one
 
 __all__ = [
-    "RegionVerdict",
     "in_deterministic_region",
     "in_lyapunov_region",
     "in_mean_square_region",
     "in_noisy_fht_region",
     "in_pbest_convergence_region",
-    "region_verdict",
     "RegionGrid",
     "scan_regions",
     "write_regions_csv",
@@ -73,28 +71,6 @@ def in_pbest_convergence_region(omega, phi1, phi2):
     return (in_mean_square_region(omega, phi1, phi2)
             & in_deterministic_region(omega, phi1, phi2)
             & (f_one(omega, phi1, phi2) > bound))
-
-
-@dataclass(frozen=True)
-class RegionVerdict:
-    deterministic: bool
-    lyapunov: bool
-    mean_square: bool
-    noisy_fht: bool
-    pbest_convergence: bool
-    f1: float
-
-
-def region_verdict(omega: float, phi1: float, phi2: float) -> RegionVerdict:
-    """All region memberships for a single parameter triple."""
-    return RegionVerdict(
-        deterministic=bool(in_deterministic_region(omega, phi1, phi2)),
-        lyapunov=bool(in_lyapunov_region(omega, phi1, phi2)),
-        mean_square=bool(in_mean_square_region(omega, phi1, phi2)),
-        noisy_fht=bool(in_noisy_fht_region(omega, phi1, phi2)),
-        pbest_convergence=bool(in_pbest_convergence_region(omega, phi1, phi2)),
-        f1=float(f_one(omega, phi1, phi2)),
-    )
 
 
 @dataclass(frozen=True)
@@ -219,8 +195,8 @@ def _true_runs(mask: np.ndarray):
     return row[0::2], col[0::2], col[1::2]
 
 
-def render_regions_svg(grid: RegionGrid, path, width=640, height=480) -> None:
-    """Filled nested-region rendering with labelled omega/phi axes.
+def render_regions_svg(grid: RegionGrid, path) -> None:
+    """Filled nested-region rendering, 640 x 480, with labelled omega/phi axes.
 
     Each layer is one rectangle per contiguous true run of a grid column,
     spanning phi[first] - cell / 2 to phi[last] + cell / 2.  The runs of
@@ -228,7 +204,7 @@ def render_regions_svg(grid: RegionGrid, path, width=640, height=480) -> None:
     the rectangle corners from array arithmetic; only the formatting of
     each rectangle is done in Python.
     """
-    margin = 50
+    width, height, margin = 640, 480, 50
     o_lo = grid.omega[0] - (grid.omega[1] - grid.omega[0]) / 2
     o_hi = grid.omega[-1] + (grid.omega[1] - grid.omega[0]) / 2
     p_lo = grid.phi[0] - (grid.phi[1] - grid.phi[0]) / 2

@@ -101,7 +101,9 @@ def test_criterion_04_two_particle_stagnation_demo():
 
 
 def test_criterion_05_counterexample_variance():
-    rep = experiments.counterexample_demo(trials=100, steps=1_000_000,
+    # the sec4-counterexample preset's parameters
+    params = make_params(0.4, 1.5, 1.5, 0.0, 1.0, 1e-2, 2, 1)
+    rep = experiments.counterexample_demo(params, trials=100, steps=1_000_000,
                                           window=100_000, master_seed=505)
     rel = abs(rep.empirical_var_mean - rep.oracle_var) / rep.oracle_var
     ok = (rep.pbest2_updates_total == 0 and rep.gap_sq_always_one

@@ -9,6 +9,9 @@ from swarmlab.batch import BatchSwarm
 from swarmlab.cli import _threads, main
 from swarmlab.core import make_params, sphere_plus
 
+# the runs here are deterministic, so a numpy warning is a defect, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _read(path):
     return path.read_bytes()
@@ -59,6 +62,23 @@ class TestExitCodes:
                    "--override", "trials=2", "--override", "budget=100",
                    "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    # before, both ended in "cannot reshape array of size ..." without the key
+    @pytest.mark.parametrize("command", ["simulate", "fht"])
+    @pytest.mark.parametrize("key, values, got", [
+        ("positions", "0.1,0.2", 2), ("velocities", "-0.1", 1),
+        ("velocities", "0,0,0,0", 4)])
+    def test_explicit_start_names_key_and_counts(self, tmp_path, capsys, command,
+                                                  key, values, got):
+        rc = main([command, "--preset", "noisy-sphereplus", "--override", "init=explicit",
+                   "--override", "positions=0.1,0.2,0.3",
+                   "--override", "velocities=0,0,0", "--override", f"{key}={values}",
+                   "--override", "trials=2", "--override", "budget=100",
+                   "--seed", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert key in err and "3 x 1 = 3" in err and f"got {got}" in err
 
     @pytest.mark.parametrize("command", ["simulate", "fht"])
     def test_explicit_start_at_nan(self, tmp_path, command):
@@ -133,12 +153,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("override", ["omega=0.6", "omega=1.2", "phi2=0"])
     def test_stagnate_checks_bound_conditions_before_simulating(self, tmp_path,
                                                                 monkeypatch, override):
-        from swarmlab import experiments
+        from swarmlab import batch
 
         def simulate(*args, **kwargs):
             raise AssertionError("stagnate simulated before checking its bound")
 
-        monkeypatch.setattr(experiments, "stagnation_demo_two_particles", simulate)
+        monkeypatch.setattr(batch, "run_two_particle_demo", simulate)
         rc = main(["stagnate", "--preset", "thm2-example", "--override", override,
                    "--override", "trials=10", "--override", "steps=10",
                    "--seed", "1", "--out", str(tmp_path / "o")])
@@ -349,6 +369,18 @@ class TestSubcommands:
         assert "condition_positions_above_threshold = 0" in text
         assert (out / "d_bounds.csv").exists()
 
+    # one trial has no sample spread; before, numpy warned and the report read se nan
+    def test_stagnate_one_trial_reports_se_inf(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["stagnate", "--preset", "thm2-example",
+                     "--override", "trials=1", "--override", "steps=20",
+                     "--seed", "1", "--out", str(out)]) == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        velocity_lines = [ln for ln in lines if ln.startswith("mean_sum_abs_v_particle")]
+        assert len(velocity_lines) == 2
+        assert all("(se inf," in ln for ln in velocity_lines)
+        assert "nan" not in "\n".join(lines)
+
     def test_moments_table(self, tmp_path):
         out = tmp_path / "o"
         assert main(["moments", "--omega", "0.4", "--phi", "1.5",
@@ -369,6 +401,16 @@ class TestSubcommands:
                      "--seed", "5", "--out", str(out)]) == 0
         text = (out / "report.txt").read_text()
         assert "pbest_updates_particle2_total = 0" in text
+
+    def test_demo_counterexample_one_trial_reports_se_inf(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["demo", "counterexample",
+                     "--override", "trials=1", "--override", "steps=500",
+                     "--override", "window=100",
+                     "--seed", "5", "--out", str(out)]) == 0
+        text = (out / "report.txt").read_text()
+        assert "(se inf, window last 100 steps)" in text
+        assert "nan" not in text
 
     def test_seed_auto_accepted(self, tmp_path):
         assert main(["fht", "--preset", "noisy-sphereplus",
@@ -405,3 +447,25 @@ class TestThreads:
         assert _threads(argparse.Namespace(threads=None)) == (os.cpu_count() or 1)
         monkeypatch.setenv("SWARMLAB_THREADS", "1")
         assert _threads(argparse.Namespace(threads=None)) == 1
+
+    # before, each of these read as one thread without a word
+    def test_env_read_as_the_flag_is(self, monkeypatch):
+        monkeypatch.setenv("SWARMLAB_THREADS", "-3")
+        assert _threads(argparse.Namespace(threads=None)) == 1
+        monkeypatch.setenv("SWARMLAB_THREADS", "1 ")
+        assert _threads(argparse.Namespace(threads=None)) == 1
+        monkeypatch.setenv("SWARMLAB_THREADS", "")
+        assert _threads(argparse.Namespace(threads=None)) == 1
+        for bad in ("two", "1.5"):
+            monkeypatch.setenv("SWARMLAB_THREADS", bad)
+            with pytest.raises(ValueError, match="SWARMLAB_THREADS"):
+                _threads(argparse.Namespace(threads=None))
+
+    def test_malformed_env_exits_2_before_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SWARMLAB_THREADS", "two")
+        rc = main(["fht", "--preset", "noisy-sphereplus", "--override", "trials=2",
+                   "--override", "budget=100", "--seed", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert not (tmp_path / "o").exists()
+        assert "SWARMLAB_THREADS" in capsys.readouterr().err

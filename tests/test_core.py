@@ -22,7 +22,7 @@ from swarmlab.core import (
 class TestMakeParams:
     def test_valid_noisy(self):
         p = make_params(0.4, 1.5, 1.5, 0.1, 1, 0.01, 3, 1)
-        assert p.is_noisy and p.m == 3 and p.omega == 0.4
+        assert p.m == 3 and p.omega == 0.4
 
     def test_alpha_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -30,7 +30,7 @@ class TestMakeParams:
 
     def test_valid_social_only(self):
         p = make_params(0.07, 0, 1.5, 0, 200, 0.5, 2, 1)
-        assert not p.is_noisy and p.phi1 == 0.0
+        assert p.phi1 == 0.0
 
     @pytest.mark.parametrize("kwargs", [
         dict(epsilon=0.0), dict(epsilon=-1.0), dict(m=0), dict(n=0),

@@ -119,8 +119,9 @@ class TestStagnationDemo:
 
 class TestCounterexampleDemo:
     def test_quick_run(self):
-        rep = experiments.counterexample_demo(trials=20, steps=30_000, window=10_000,
-                                              master_seed=2)
+        params = make_params(0.4, 1.5, 1.5, 0.0, 1.0, 1e-2, 2, 1)
+        rep = experiments.counterexample_demo(params, trials=20, steps=30_000,
+                                              window=10_000, master_seed=2)
         assert rep.pbest2_updates_total == 0
         assert not rep.particle1_ever_moved
         assert rep.gap_sq_always_one

@@ -78,14 +78,13 @@ class TestPbestConvergenceRegion:
 class TestScan:
     def test_single_point_matches_predicates(self):
         grid = regions.scan_regions((0.399, 0.401), (1.499, 1.501), resolution=2)
-        v = regions.region_verdict(float(grid.omega[0]), float(grid.phi[0]),
-                                   float(grid.phi[0]))
-        assert grid.deterministic[0, 0] == v.deterministic
-        assert grid.lyapunov[0, 0] == v.lyapunov
-        assert grid.mean_square[0, 0] == v.mean_square
-        assert grid.noisy_fht[0, 0] == v.noisy_fht
-        assert grid.pbest_convergence[0, 0] == v.pbest_convergence
-        assert grid.f1[0, 0] == pytest.approx(v.f1)
+        w, p = float(grid.omega[0]), float(grid.phi[0])
+        assert grid.deterministic[0, 0] == regions.in_deterministic_region(w, p, p)
+        assert grid.lyapunov[0, 0] == regions.in_lyapunov_region(w, p, p)
+        assert grid.mean_square[0, 0] == regions.in_mean_square_region(w, p, p)
+        assert grid.noisy_fht[0, 0] == regions.in_noisy_fht_region(w, p, p)
+        assert grid.pbest_convergence[0, 0] == regions.in_pbest_convergence_region(w, p, p)
+        assert grid.f1[0, 0] == pytest.approx(moments.f_one(w, p, p))
 
     def test_half_cell_offset_avoids_boundaries(self):
         grid = regions.scan_regions(resolution=10)
