@@ -408,6 +408,15 @@ def run_counterexample_batch(params: PsoParams, objective: ObjectiveFn,
     )
 
 
+def _checkpoints(checkpoints, first: int, steps: int) -> set:
+    """The checkpoints and the final step, each checked to lie in [first, steps]."""
+    wanted = set(int(t) for t in checkpoints)
+    outside = sorted(t for t in wanted if not first <= t <= steps)
+    if outside:
+        raise ValueError(f"checkpoints must lie in [{first}, {steps}], got {outside}")
+    return wanted | {steps}
+
+
 def _attractor_chain(params: PsoParams, p_best: float, g_best: float, trials: int,
                      master_seed: int, steps: int):
     """Yields (t, X_t, noise) of `trials` fixed-attractor chains, t = 0..steps,
@@ -445,9 +454,10 @@ def run_fixed_attractor_ensemble(params: PsoParams, p_best: float, g_best: float
                                  checkpoints=()) -> dict:
     """Directly simulates the fixed-attractor recurrence over independent
     chains; returns {t: positions (trials,)} snapshots at the checkpoints
-    (always including the final step).
+    (always including the final step).  A checkpoint outside [0, steps]
+    raises ValueError.
     """
-    wanted = set(int(t) for t in checkpoints) | {steps}
+    wanted = _checkpoints(checkpoints, 0, steps)
     return {t: x for t, x, _ in _attractor_chain(params, p_best, g_best, trials,
                                                  master_seed, steps) if t in wanted}
 
@@ -492,8 +502,9 @@ def run_pbest_gap_batch(params: PsoParams, objective: ObjectiveFn, trials: int,
                         steps: int, master_seed: int, checkpoints=()) -> PbestGapResult:
     """Tracks max_i (G_t - P_t^(i))^2 under all-nonnegative position
     initialisation (positions uniform on [0, alpha], velocities on
-    [-alpha, alpha]).
+    [-alpha, alpha]).  A checkpoint outside [1, steps] raises ValueError.
     """
+    wanted = _checkpoints(checkpoints, 1, steps)
     m, n = params.m, params.n
     if n != 1:
         raise ValueError("gap tracking is one-dimensional")
@@ -508,7 +519,6 @@ def run_pbest_gap_batch(params: PsoParams, objective: ObjectiveFn, trials: int,
         return ((swarm.G[:, None, 0] - swarm.P[:, :, 0]) ** 2).max(axis=1)
 
     initial = gap()
-    wanted = set(int(t) for t in checkpoints) | {steps}
     out = {}
     for _ in range(steps):
         swarm.step()

@@ -73,7 +73,6 @@ _CONFIG_SCHEMA = {
     "positions": _parse_float_list,
     "velocities": _parse_float_list,
     "require_nonneg_gbest": _parse_bool,
-    "ball_radius": float,
 }
 
 _DEFAULTS = {
@@ -179,16 +178,8 @@ def _resolve_seed(args) -> int:
 
 
 def _threads(args) -> int:
-    """Worker threads from --threads or SWARMLAB_THREADS, read as `int()`
-    reads them and clamped to [1, cpu count]; unset or empty means 1."""
-    n = getattr(args, "threads", None)
-    if n is None:
-        env = os.environ.get("SWARMLAB_THREADS", "")
-        try:
-            n = int(env) if env else 1
-        except ValueError:
-            raise CliError(f"SWARMLAB_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(n, os.cpu_count() or 1))
+    """Worker threads from --threads, clamped to [1, cpu count]."""
+    return max(1, min(args.threads, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +323,7 @@ def cmd_stagnate(args) -> int:
     init = TwoParticleInit(x1=cfg["positions"][0], x2=cfg["positions"][1],
                            v1=cfg["velocities"][0], v2=cfg["velocities"][1])
     report = experiments.stagnation_demo_two_particles(
-        params, init, trials=cfg["trials"], steps=cfg["steps"], master_seed=seed,
-        ball_radius=cfg.get("ball_radius"))
+        params, init, trials=cfg["trials"], steps=cfg["steps"], master_seed=seed)
     out = _out_dir(args)
     _write_lines(out / "report.txt", report.lines())
     rows = ["t,retained,mean_abs_d,se,bound"]
@@ -345,12 +335,7 @@ def cmd_stagnate(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    if args.phi is not None:
-        phi1 = phi2 = args.phi
-    else:
-        phi1, phi2 = args.phi1, args.phi2
-    if phi1 is None or phi2 is None:
-        raise CliError("pass --phi or both --phi1 and --phi2")
+    phi1, phi2 = args.phi1, args.phi2
     params = PsoParams(omega=args.omega, phi1=phi1, phi2=phi2, delta=args.delta)
     p_best, g_best = args.p_best, args.g_best
     if not (np.isfinite(p_best) and np.isfinite(g_best)):
@@ -411,8 +396,8 @@ def _add_common(sub):
     sub.add_argument("--override", action="append", metavar="KEY=VALUE",
                      help="override a configuration key (repeatable)")
     sub.add_argument("--seed", help="master seed (integer) or 'auto'")
-    sub.add_argument("--threads", type=int, help="worker threads "
-                     "(default: SWARMLAB_THREADS or 1)")
+    sub.add_argument("--threads", type=int, default=1, help="worker threads, clamped "
+                     "to [1, cpu count]; only fht reads it, the others run one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,9 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("moments", help="closed forms vs the exact moment oracle")
     p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--phi", type=float, help="sets phi1 = phi2")
-    p.add_argument("--phi1", type=float)
-    p.add_argument("--phi2", type=float)
+    p.add_argument("--phi1", type=float, required=True)
+    p.add_argument("--phi2", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--p-best", type=float, default=0.0)
     p.add_argument("--g-best", type=float, default=1.0)

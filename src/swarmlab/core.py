@@ -160,7 +160,7 @@ def counterexample() -> ObjectiveFn:
     return _objective("counterexample", 0.0, _counterexample_batch)
 
 
-def monotone_transform(f: ObjectiveFn, g: Callable, name: str | None = None) -> ObjectiveFn:
+def monotone_transform(f: ObjectiveFn, g: Callable) -> ObjectiveFn:
     """Compose a strictly increasing transform with an objective.
 
     g must accept floats and numpy arrays and map +inf to +inf.  Because the
@@ -170,7 +170,7 @@ def monotone_transform(f: ObjectiveFn, g: Callable, name: str | None = None) -> 
     value, as long as g does not decrease under rounding either and gives the
     same double for a float as for an array element.
     """
-    return _objective(name or f"g({f.name})", float(g(f.optimum_value)),
+    return _objective(f"g({f.name})", float(g(f.optimum_value)),
                       lambda X: g(f.batch_evaluate(X)))
 
 

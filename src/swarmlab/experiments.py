@@ -186,15 +186,16 @@ class StagnationDemoReport:
 
 
 def stagnation_demo_two_particles(params: PsoParams, init: stagnation.TwoParticleInit,
-                                  trials: int, steps: int, master_seed: int,
-                                  ball_radius: float | None = None) -> StagnationDemoReport:
+                                  trials: int, steps: int,
+                                  master_seed: int) -> StagnationDemoReport:
     """Monte Carlo check of the two-particle stagnation bounds.
 
     Runs the swarm from the explicit two-particle start; the cognitive pull
     vanishes identically while each particle improves monotonically, so the
     analysed social-only dynamics are exact (the demo is conventionally run
     with phi1 = 0 to make this explicit).  Distance-bound comparisons retain
-    only trials whose sign prerequisites held through the sample time.
+    only trials whose sign prerequisites held through the sample time.  The
+    ball a trial may enter is the target ball, of radius params.epsilon.
 
     The velocity-sum bound is evaluated before the simulation, so parameters
     that break its conditions (0 < omega < 1, phi2 > 0, kappa < 1) raise
@@ -202,12 +203,10 @@ def stagnation_demo_two_particles(params: PsoParams, init: stagnation.TwoParticl
     """
     velocity_bound = stagnation.velocity_sum_bound(params, init)
     verdict = stagnation.check_two_particle_stagnation(params, init)
-    if ball_radius is None:
-        ball_radius = params.epsilon
     f = get_objective("sphere")
     res = batch.run_two_particle_demo(
         params, f, [init.x1, init.x2], [init.v1, init.v2],
-        trials, steps, master_seed, ball_radius)
+        trials, steps, master_seed, params.epsilon)
     rows = []
     for t in sorted(res.d_abs_at):
         keep = res.valid_at[t]
@@ -221,7 +220,7 @@ def stagnation_demo_two_particles(params: PsoParams, init: stagnation.TwoParticl
     return StagnationDemoReport(
         trials=trials,
         steps=steps,
-        ball_radius=ball_radius,
+        ball_radius=params.epsilon,
         n_entered_ball=int(res.entered_ball.sum()),
         mean_sum_abs_v=mean_v,
         se_sum_abs_v=se_v,
@@ -317,8 +316,11 @@ def stationary_moment_check(params: PsoParams, p_best: float, g_best: float,
     versus the closed-form limits and the exact oracle fixed point.
 
     The mid-window variance is reported alongside the final one so burn-in
-    sufficiency is visible in the report.
+    sufficiency is visible in the report.  The standard errors need
+    trials >= 2, checked before any chain is run.
     """
+    if trials < 2:
+        raise ValueError(f"stationary moment check needs trials >= 2, got {trials}")
     total = burn_in + horizon
     mid = burn_in + horizon // 2
     snaps = batch.run_fixed_attractor_ensemble(
@@ -351,7 +353,6 @@ def stationary_moment_check(params: PsoParams, p_best: float, g_best: float,
 @dataclass(frozen=True)
 class ImprovementProbabilityReport:
     samples: int
-    eps_prime: float
     analytic_noise_tail: float    # Pr(noise < -0.4999 delta), exact interval measure
     y_tail_freq: float            # empirical Pr(|Y - G| >= 0.4899 delta + eps')
     y_tail_bound: float           # 25/36
@@ -368,13 +369,12 @@ def noise_tail_probability() -> float:
 
 
 def improvement_probability_check(params: PsoParams, trials: int, master_seed: int,
-                                  g_value: float = 1.0, burn_in: int = 2000,
-                                  target_samples: int = 10_000_000,
-                                  eps_prime: float | None = None) -> ImprovementProbabilityReport:
+                                  target_samples: int = 10_000_000) -> ImprovementProbabilityReport:
     """Empirical verification of the improvement-event constants on the
-    fixed-attractor recurrence with both bests at g_value.
+    fixed-attractor recurrence with both bests at G = 1, counted after a
+    burn-in of 2000 steps.
 
-    eps_prime defaults to delta/1000, well inside the admissible range
+    eps' is delta/1000, well inside the admissible range
     eps' <= (1 - 0.4899) delta.
     """
     f1 = float(moments.f_one(params.omega, params.phi1, params.phi2))
@@ -382,14 +382,11 @@ def improvement_probability_check(params: PsoParams, trials: int, master_seed: i
         raise ValueError(f"improvement analysis requires f(1) > 1/3, got {f1}")
     if params.delta <= 0:
         raise ValueError("requires a noisy update rule (delta > 0)")
-    if eps_prime is None:
-        eps_prime = params.delta / 1000.0
     keep = max(1, int(np.ceil(target_samples / trials)))
-    counts = batch.run_improvement_counts(params, g_value, trials, burn_in, keep,
-                                          master_seed, eps_prime)
+    counts = batch.run_improvement_counts(params, 1.0, trials, 2000, keep,
+                                          master_seed, params.delta / 1000.0)
     return ImprovementProbabilityReport(
         samples=counts.samples,
-        eps_prime=eps_prime,
         analytic_noise_tail=noise_tail_probability(),
         y_tail_freq=counts.y_tail_hits / counts.samples,
         y_tail_bound=25.0 / 36.0,

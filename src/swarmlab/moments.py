@@ -219,15 +219,16 @@ class MomentLimits:
 
 
 def moment_limits(params: PsoParams, p_best: float, g_best: float) -> MomentLimits:
-    """Closed-form mean/variance limits with a stability flag.
+    """Closed-form mean/variance limits.
 
-    For unstable parameters the variance limit is reported as inf.
+    Where `variance_limit` rejects the parameters as not mean-square stable,
+    the variance limit is reported as inf.
     """
-    f1 = float(f_one(params.omega, params.phi1, params.phi2))
-    stable = bool(0 <= params.omega < 1 and params.phi1 + params.phi2 > 0 and f1 > 0
-                  and params.phi1 + params.phi2 < 4 * (1 + params.omega))
     mean = equilibrium_point(params, p_best, g_best)
-    var = variance_limit(params, p_best, g_best) if stable else np.inf
+    try:
+        var = variance_limit(params, p_best, g_best)
+    except ValueError:
+        var = np.inf
     return MomentLimits(mean_limit=mean, var_limit=var)
 
 

@@ -539,3 +539,10 @@ def test_fixed_attractor_runs_report_the_start_at_t0():
     counts = batch.run_improvement_counts(params, 0.3, 50, 0, 0, 4, 1e-5)
     assert counts.samples == counts.compound_hits == counts.y_tail_hits == 0
     assert np.allclose(counts.final_positions - 0.3, start[0] - center, rtol=0, atol=1e-15)
+
+
+def test_fixed_attractor_ensemble_rejects_checkpoints_outside_the_run():
+    params = make_params(0.4, 1.3, 1.7, 0.01, 0.5, 1e-2, 1, 1)
+    with pytest.raises(ValueError, match=r"\[0, 10\], got \[-1, 20\]"):
+        batch.run_fixed_attractor_ensemble(params, 0.3, -0.7, 5, 10, 4,
+                                           checkpoints=(3, 20, -1))

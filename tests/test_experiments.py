@@ -158,6 +158,16 @@ class TestStationaryMomentCheck:
         assert rep.empirical_mean == pytest.approx(0.5, abs=4 * rep.se_mean)
         assert rep.empirical_var == pytest.approx(rep.oracle_var, rel=0.05)
 
+    def test_fewer_than_two_trials_rejected_before_running(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the chains ran")
+        monkeypatch.setattr(experiments.batch, "run_fixed_attractor_ensemble", no_run)
+        p = make_params(0.4, 1.5, 1.5, 0, 1, 0.01, 1, 1)
+        for trials in (1, 0):
+            with pytest.raises(ValueError, match="trials >= 2"):
+                experiments.stationary_moment_check(p, 0.0, 1.0, trials=trials,
+                                                    burn_in=10, horizon=10, master_seed=1)
+
 
 class TestImprovementProbability:
     def test_constants(self):
@@ -201,3 +211,12 @@ class TestPbestNullSequence:
                                                     master_seed=10)
         assert rep.median_initial_gap_sq == 0.0
         assert rep.median_ratio_at[100] == 0.0
+
+    def test_checkpoint_outside_the_run_rejected(self):
+        p = make_params(0.4, 1.5, 1.5, 0, 1, 0.01, 2, 1)
+        with pytest.raises(ValueError, match=r"\[1, 10\], got \[0, 20\]"):
+            experiments.pbest_null_sequence_check(p, trials=5, horizon=10, master_seed=1,
+                                                  checkpoints=(0, 5, 20))
+        rep = experiments.pbest_null_sequence_check(p, trials=5, horizon=10, master_seed=1,
+                                                    checkpoints=(1, 5))
+        assert sorted(rep.median_ratio_at) == [1, 5, 10]

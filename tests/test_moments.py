@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swarmlab import moments
+from swarmlab import moments, regions
 from swarmlab.core import make_params
 
 from moments_reference import (
@@ -213,6 +213,23 @@ class TestVarianceLimit:
         # noise floor
         if delta > 0:
             assert oracle_var >= delta**2 / 12 - 1e-15
+
+    # weights below 1e-3 are left out: there f(1) ~ phi (1 - omega^2) is so
+    # small that the limit itself can overflow to inf inside the region
+    @given(st.floats(-0.5, 1.5), st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
+           st.floats(1e-3, 5.0), st.floats(0.0, 1.0), st.floats(-10, 10), st.floats(-10, 10))
+    @settings(max_examples=200, deadline=None)
+    @example(0.4, 1.5, 1.5, 0.1, 0.0, 1.0)
+    @example(0.99, 2.0, 2.0, 0.0, 0.0, 1.0)
+    @example(1.0, 0.5, 0.5, 0.0, 0.0, 1.0)
+    def test_limits_finite_exactly_in_the_mean_square_region(
+            self, omega, phi1, phi2, delta, P, G):
+        p = _params(omega=omega, phi1=phi1, phi2=phi2, delta=delta)
+        var = moments.moment_limits(p, P, G).var_limit
+        inside = bool(regions.in_mean_square_region(omega, phi1, phi2))
+        assert np.isfinite(var) == inside
+        if inside:
+            assert var == moments.variance_limit(p, P, G)
 
 
 class TestSpectralRadius:
