@@ -1,11 +1,18 @@
 """Vectorised multi-trial simulation kernels.
 
 `BatchSwarm` is the one place the swarm update is written: trials run in
-lockstep on (trials, m, n) arrays, and a one-trial run (:mod:`swarmlab.engine`)
-is a `BatchSwarm` with trials = 1.  Trial k of a batch draws from the same
-counter-based coordinates (master seed, purpose, trial, particle, dimension,
-step) as the pure-Python `RngStream`; tests check every trial bit for bit
-against a scalar reference step built on it.
+lockstep on particle-major (m, trials, n) arrays, and a one-trial run
+(:mod:`swarmlab.engine`) is a `BatchSwarm` with trials = 1.  Trial k of a
+batch draws from the same counter-based coordinates (master seed, purpose,
+trial, particle, dimension, step) as the pure-Python `RngStream`; tests check
+every trial bit for bit against a scalar reference step built on it.
+
+Particle-major state keeps each particle's trials in one contiguous row, so
+at the wide shape (10^4 trials, m = 2, n = 1) every elementwise pass runs over
+10^4 adjacent doubles, not over 2-element particle blocks; the dimension n
+stays the innermost axis, so the objective's sum over it keeps numpy's
+pairwise order.  Runner results keep their (trials, ...) shapes and are
+returned C-contiguous, because reductions over trials follow memory order.
 
 The global best of a trial is its lowest-index particle with the least
 personal-best value.  It is chosen by a strict-`<` sweep over the particles
@@ -25,10 +32,11 @@ the (trials,) global-best value, which the `ObjectiveFn` contract (no value
 below the optimum value) makes the same test as one on every fresh value.
 
 A term whose weight is zero hashes no draws: with phi1 = 0 (the stagnation
-construction) the R block is phi1 itself, a zero with phi1's sign, which is
-what phi1 * u is for every draw u in [0, 1).  `step` still multiplies it in,
-since 0 * (P - X) is NaN at an infinite position and a +0.0 term can change
-the sign of a -0.0 velocity.
+construction) the R term's factor is the scalar phi1 itself, a zero with
+phi1's sign, which is what phi1 * u is for every draw u in [0, 1).  `step`
+still multiplies it in, since 0 * (P - X) is NaN at an infinite position and
+a +0.0 term can change the sign of a -0.0 velocity; a scalar times an array
+is the same IEEE multiply per element as a block of that scalar would be.
 """
 
 from __future__ import annotations
@@ -73,15 +81,16 @@ _BLOCK_ELEMENTS = 2 ** 14
 
 
 def _global_best(P, fP):
-    """(G, fG) of each trial from personal bests P (trials, m, n) and their
-    values fP (trials, m): start at particle 0 and move to particle i only where
-    fP[:, i] < fG, so ties keep the lowest index, as `argmin` does.  fP is never
-    NaN.  With m = 1 the results are views of P and fP."""
-    G, fG = P[:, 0], fP[:, 0]
-    for i in range(1, fP.shape[1]):
-        better = fP[:, i] < fG
-        G = np.where(better[:, None], P[:, i], G)
-        fG = np.where(better, fP[:, i], fG)
+    """(G, fG) of each trial, (trials, n) and (trials,), from personal bests P
+    (m, trials, n) and their values fP (m, trials): start at particle 0's row
+    and move to row fP[i] only where fP[i] < fG, so ties keep the lowest index,
+    as `argmin` does.  fP is never NaN.  With m = 1 the results are views of P
+    and fP."""
+    G, fG = P[0], fP[0]
+    for i in range(1, len(fP)):
+        better = fP[i] < fG
+        G = np.where(better[:, None], P[i], G)
+        fG = np.where(better, fP[i], fG)
     return G, fG
 
 
@@ -97,16 +106,20 @@ class BatchSwarm:
         self.params = params
         self.objective = objective
         self.trials = trials
+
+        def base(purpose):   # (m, trials, n), contiguous like the state
+            return np.ascontiguousarray(
+                stream_base(master_seed, purpose, trials, m, n, trial_offset).transpose(1, 0, 2))
+
         # a stream whose term is zero (phi1, phi2 or delta) is never hashed
         self._base_r, self._base_s, self._base_d = (
-            stream_base(master_seed, purpose, trials, m, n, trial_offset) if weight else None
+            base(purpose) if weight else None
             for purpose, weight in ((PURPOSE_R, params.phi1), (PURPOSE_S, params.phi2),
                                     (PURPOSE_NOISE, params.delta)))
         if init == "random":
-            base_x = stream_base(master_seed, PURPOSE_INIT_X, trials, m, n, trial_offset)
-            base_v = stream_base(master_seed, PURPOSE_INIT_V, trials, m, n, trial_offset)
-            X = np.empty((trials, m, n))
-            V = np.empty((trials, m, n))
+            base_x, base_v = base(PURPOSE_INIT_X), base(PURPOSE_INIT_V)
+            X = np.empty((m, trials, n))
+            V = np.empty((m, trials, n))
             need = np.ones(trials, dtype=bool)
             attempt = 0
             while need.any():
@@ -115,10 +128,10 @@ class BatchSwarm:
                 a = self.params.alpha
                 cx = a * (2.0 * step_uniform(base_x, attempt) - 1.0)
                 cv = a * (2.0 * step_uniform(base_v, attempt) - 1.0)
-                X[need] = cx[need]
-                V[need] = cv[need]
+                X[:, need] = cx[:, need]
+                V[:, need] = cv[:, need]
                 if require_nonneg_gbest:
-                    need = need & ~(X >= 0).any(axis=(1, 2))
+                    need = need & ~(X >= 0).any(axis=(0, 2))
                 else:
                     need[:] = False
                 attempt += 1
@@ -136,8 +149,8 @@ class BatchSwarm:
                 # a NaN value would break the `ObjectiveFn` contract the bests
                 # rest on, and an infinite start turns into NaN on its first step
                 raise ValueError("explicit init positions and velocities must be finite")
-            X = np.broadcast_to(X0, (trials, m, n)).copy()
-            V = np.broadcast_to(V0, (trials, m, n)).copy()
+            X = np.broadcast_to(X0, (trials, m, n)).transpose(1, 0, 2).copy()
+            V = np.broadcast_to(V0, (trials, m, n)).transpose(1, 0, 2).copy()
         else:
             raise ValueError(f"unknown init mode {init!r}")
         self.X = X
@@ -145,7 +158,7 @@ class BatchSwarm:
         self.P = X.copy()
         self.fP = objective.batch_evaluate(X)
         self.G, self.fG = _global_best(self.P, self.fP)
-        self.improved = None   # (trials, m) personal-best updates of the last step
+        self.improved = None   # (m, trials) personal-best updates of the last step
         self.t = 0
         self.eval_count = params.m
         self._block_steps = self._steps_per_block()
@@ -158,36 +171,40 @@ class BatchSwarm:
         """Drop every trial but the given batch rows, in the given order.
 
         The rows keep their stream bases, so each kept trial draws and moves
-        exactly as it would have in the full batch.  A pending draw block is
-        cut to the kept rows; the next block is sized for the narrower batch.
+        exactly as it would have in the full batch.  Particle-major arrays are
+        gathered along their trial axis 1 (`np.take` keeps them contiguous,
+        where `a[:, rows]` would not), G and fG along axis 0.  A pending draw
+        block is cut to the kept rows; a zero weight's scalar and an absent
+        noise term have none.  The next block is sized for the narrower batch.
         """
         rows = np.asarray(rows, dtype=np.intp)
-        for name in ("X", "V", "P", "fP", "G", "fG", "improved",
-                     "_base_r", "_base_s", "_base_d"):
+        for name in ("X", "V", "P", "fP", "improved", "_base_r", "_base_s", "_base_d"):
             a = getattr(self, name)
             if a is not None:
-                setattr(self, name, a[rows])
+                setattr(self, name, np.take(a, rows, axis=1))
+        self.G, self.fG = self.G[rows], self.fG[rows]
         if self._block_end > self.t:
-            self._block = tuple(None if b is None else b[:, rows] for b in self._block)
+            self._block = tuple(np.take(b, rows, axis=2) if np.ndim(b) else b
+                                for b in self._block)
         self.trials = len(rows)
         self._block_steps = self._steps_per_block()
 
     def _draws(self):
-        """Scaled attraction factors phi1 * R and phi2 * S and the noise term D
-        (None when delta == 0) of step t, from a block of `_block_steps` steps
-        hashed and scaled in one call each.
+        """Scaled attraction factors phi1 * R and phi2 * S, each (m, trials, n),
+        and the noise term D (None when delta == 0) of step t, from a
+        (steps, m, trials, n) block of `_block_steps` steps hashed from the
+        particle-major stream bases and scaled in one call each.
 
-        A zero weight's block is the weight itself, hashed from no draw: every
-        draw u is finite and in [0, 1), so phi * u is a zero with phi's sign.
-        The block keeps its full shape, so `keep` cuts it like any other."""
+        A zero weight's factor is the weight itself, a float hashed from no
+        draw: every draw u is finite and in [0, 1), so phi * u is a zero with
+        phi's sign."""
         if self.t >= self._block_end:
             p = self.params
             steps = np.arange(self.t, self.t + self._block_steps, dtype=np.uint64)
             steps = steps.reshape(-1, 1, 1, 1)
-            shape = (self._block_steps, self.trials, p.m, p.n)
 
             def attraction(phi, base):
-                return np.full(shape, phi) if base is None else phi * step_uniform(base, steps)
+                return phi if base is None else phi * step_uniform(base, steps)
 
             D = None
             if self._base_d is not None:
@@ -197,10 +214,11 @@ class BatchSwarm:
             self._block_start, self._block_end = self.t, self.t + self._block_steps
         k = self.t - self._block_start
         R, S, D = self._block
-        return R[k], S[k], None if D is None else D[k]
+        return (R if self._base_r is None else R[k], S if self._base_s is None else S[k],
+                None if D is None else D[k])
 
     def step(self) -> np.ndarray:
-        """Advance every trial one step; returns the fresh (trials, m) values.
+        """Advance every trial one step; returns the fresh (m, trials) values.
 
         Fresh attraction factors are drawn per (particle, dimension); when
         delta > 0 an independent uniform noise term on [-delta/2, delta/2] is
@@ -209,15 +227,18 @@ class BatchSwarm:
         Then the global best is the lowest-index particle with the least
         updated personal-best value, found by a strict-`<` sweep over the
         particles (every particle saw the pre-step best).  When no personal
-        best improved, P, fP, G and fG keep their arrays.
+        best improved, P, fP, G and fG keep their arrays.  The social term is
+        S * (G[None] - X): each particle row against the (trials, n) G.
         """
         # R and S come scaled by phi1 and phi2: Python evaluates
-        # phi1 * R * (P - X) as (phi1 * R) * (P - X), so no bit moves
+        # phi1 * R * (P - X) as (phi1 * R) * (P - X), so no bit moves.
+        # G[None], not a bare G: the same bits, and the explicit axis saves
+        # numpy's broadcast set-up, about 0.5 us of a one-trial step
         R, S, D = self._draws()
         X = self.X
         V = (self.params.omega * self.V
              + R * (self.P - X)
-             + S * (self.G[:, None, :] - X))
+             + S * (self.G[None] - X))
         if D is not None:
             V += D
         X = X + V
@@ -266,8 +287,8 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *,
     if position_ball_radius is not None:
         entered = np.zeros(live.size, dtype=bool)
         r2_max = position_ball_radius ** 2
-        # per batch row and particle; fmin skips a NaN norm, as <= r2_max would
-        least_sq = np.full((live.size, m), np.inf)
+        # per particle and batch row; fmin skips a NaN norm, as <= r2_max would
+        least_sq = np.full((m, live.size), np.inf)
     while True:
         if least_sq is not None:
             np.fmin(least_sq, _sphere_batch(swarm.X), out=least_sq)
@@ -279,18 +300,18 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *,
                 hit_evals[done] = swarm.eval_count
                 final_g[done] = tested[hit]
                 if least_sq is not None:
-                    entered[done] = (least_sq[hit] <= r2_max).any(axis=1)
+                    entered[done] = (least_sq[:, hit] <= r2_max).any(axis=0)
                 if done.size == live.size:
                     break
                 rows = np.flatnonzero(~hit)
                 live = live[rows]
                 swarm.keep(rows)
                 if least_sq is not None:
-                    least_sq = least_sq[rows]
+                    least_sq = least_sq[:, rows]
         if swarm.eval_count + m > budget:
             final_g[live] = swarm.fG
             if least_sq is not None:
-                entered[live] = (least_sq <= r2_max).any(axis=1)
+                entered[live] = (least_sq <= r2_max).any(axis=0)
             break
         swarm.step()
         if observe is not None:
@@ -334,7 +355,7 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
                        velocities=np.asarray(v0, dtype=np.float64))
     sample_set = set(int(t) for t in d_sample_times)
     entered = np.zeros(trials, dtype=bool)
-    sum_abs_v = np.zeros((trials, 2))
+    sum_abs_v = np.zeros((2, trials))   # per particle row; returned (trials, 2)
     valid = np.ones(trials, dtype=bool)
     min_pos = np.full(trials, np.inf)
     d_abs_at = {}
@@ -342,10 +363,10 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
     for t in range(steps + 1):
         if t > 0:
             swarm.step()
-        # elementwise on each particle's column: a reduction over the length-2
+        # elementwise on each particle's row: a reduction over the length-2
         # particle axis costs several times as much at 10^4 trials
-        xa, xb = swarm.X[:, 0, 0], swarm.X[:, 1, 0]
-        va, vb = swarm.V[:, 0, 0], swarm.V[:, 1, 0]
+        xa, xb = swarm.X[0, :, 0], swarm.X[1, :, 0]
+        va, vb = swarm.V[0, :, 0], swarm.V[1, :, 0]
         # min and max propagate NaN, so each sign test fails on a NaN as the
         # two per-particle tests would
         x_min = np.minimum(xa, xb)
@@ -356,7 +377,8 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
         if t in sample_set:
             d_abs_at[t] = np.abs(xb - xa)
             valid_at[t] = valid.copy()
-    return TwoParticleBatchResult(entered_ball=entered, sum_abs_v=sum_abs_v,
+    return TwoParticleBatchResult(entered_ball=entered,
+                                  sum_abs_v=np.ascontiguousarray(sum_abs_v.T),
                                   d_abs_at=d_abs_at, valid_at=valid_at,
                                   min_position=min_pos)
 
@@ -386,7 +408,7 @@ def run_counterexample_batch(params: PsoParams, objective: ObjectiveFn,
     swarm = BatchSwarm(params, objective, trials, master_seed, init="explicit",
                        positions=np.array([[0.0], [1.0]]),
                        velocities=np.zeros((2, 1)))
-    updates = np.zeros((trials, params.m), dtype=np.int64)
+    updates = np.zeros((params.m, trials), dtype=np.int64)
     s1 = np.zeros(trials)
     s2 = np.zeros(trials)
     start = steps - window
@@ -395,15 +417,15 @@ def run_counterexample_batch(params: PsoParams, objective: ObjectiveFn,
         if np.count_nonzero(swarm.improved):   # the bool-to-int add costs more
             updates += swarm.improved
         if t >= start:
-            x2 = swarm.X[:, 1, 0]
+            x2 = swarm.X[1, :, 0]
             s1 += x2
             s2 += x2 * x2
     mean = s1 / window
     var = s2 / window - mean * mean
     return CounterexampleBatchResult(
-        pbest_updates=updates,
-        particle1_moved=(swarm.X[:, 0, 0] != 0.0) | (swarm.V[:, 0, 0] != 0.0),
-        gap_sq_final=(swarm.G[:, 0] - swarm.P[:, 1, 0]) ** 2,
+        pbest_updates=np.ascontiguousarray(updates.T),
+        particle1_moved=(swarm.X[0, :, 0] != 0.0) | (swarm.V[0, :, 0] != 0.0),
+        gap_sq_final=(swarm.G[:, 0] - swarm.P[1, :, 0]) ** 2,
         window_var=var,
     )
 
@@ -516,7 +538,7 @@ def run_pbest_gap_batch(params: PsoParams, objective: ObjectiveFn, trials: int,
                        positions=X0, velocities=V0)
 
     def gap():
-        return ((swarm.G[:, None, 0] - swarm.P[:, :, 0]) ** 2).max(axis=1)
+        return ((swarm.G[None, :, 0] - swarm.P[:, :, 0]) ** 2).max(axis=0)
 
     initial = gap()
     out = {}

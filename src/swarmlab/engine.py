@@ -73,7 +73,7 @@ TRAJECTORY_HEADER = "t,particle,dim,x,v,p,g,f_g"
 
 def trajectory_rows(swarm: BatchSwarm) -> list:
     """CSV rows (one per particle per dimension) for trial 0's current state."""
-    X, V, P, G = swarm.X[0], swarm.V[0], swarm.P[0], swarm.G[0]
+    X, V, P, G = swarm.X[:, 0], swarm.V[:, 0], swarm.P[:, 0], swarm.G[0]
     fg = float(swarm.fG[0])
     return [(swarm.t, i, j, float(X[i, j]), float(V[i, j]), float(P[i, j]),
              float(G[j]), fg)

@@ -2,7 +2,7 @@
 printed pass/fail line per criterion.
 
 The full module takes one to two minutes on a 2-core machine.  The largest
-part is criterion 4, the two-particle demo at 10^4 trials x 10^5 steps: 33-52 s
+part is criterion 4, the two-particle demo at 10^4 trials x 10^5 steps: 30-37 s
 there, against its 300 s gate.  Run with `pytest tests/test_acceptance.py
 -v -s` to see the per-criterion lines as they complete.
 """
@@ -259,7 +259,7 @@ def test_criterion_10_reproducibility(tmp_path):
     f = sphere()
     sw1 = batch.BatchSwarm(params, f, trials=8, master_seed=1010)
     sw2 = batch.BatchSwarm(params, f, trials=8, master_seed=1010)
-    sw2._base_d = stream_base(1010, PURPOSE_NOISE, 8, params.m, params.n)
+    sw2._base_d = stream_base(1010, PURPOSE_NOISE, 8, params.m, params.n).transpose(1, 0, 2)
     for _ in range(500):
         sw1.step()
         sw2.step()

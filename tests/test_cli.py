@@ -345,7 +345,7 @@ class TestSubcommands:
         start = [float(r[3]) for r in rows if r[0] == "0"]
         assert max(start) >= 0
         fht_start = BatchSwarm(params, sphere_plus(), 1, 14, require_nonneg_gbest=True)
-        assert start == fht_start.X[0, :, 0].tolist()
+        assert start == fht_start.X[:, 0, 0].tolist()
         manifest = (out / "manifest.txt").read_text().splitlines()
         final = [ln.split(" = ")[1] for ln in manifest if ln.startswith("final_g_value")]
         assert np.isfinite(float(final[0]))

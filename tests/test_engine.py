@@ -39,12 +39,12 @@ class TestInit:
         assert np.all(np.abs(s.V) <= 1.0)
         assert np.array_equal(s.P, s.X)
         assert s.eval_count == 3 and s.t == 0
-        assert s.fG[0] == s.fP[0].min()
+        assert s.fG[0] == s.fP[:, 0].min()
 
     def test_explicit_counterexample_config(self):
         s = _explicit([0.0, 1.0], [0.0, 0.0], counterexample())
         assert s.G[0, 0] == 0.0 and s.fG[0] == 0.0
-        assert s.P[0, :, 0].tolist() == [0.0, 1.0]
+        assert s.P[:, 0, 0].tolist() == [0.0, 1.0]
 
     def test_explicit_two_particle_sphere(self):
         s = _explicit([184.0, 185.0], [-1.0, -1.0], sphere())
@@ -97,7 +97,7 @@ class TestStep:
             engine.step(s)
             assert np.all(s.fP <= fP)
             assert s.fG[0] <= fG[0]
-            assert s.fG[0] == s.fP[0].min()
+            assert s.fG[0] == s.fP[:, 0].min()
             assert s.eval_count == evals + params.m
 
     def test_pbest_requires_strict_improvement(self):
@@ -105,8 +105,8 @@ class TestStep:
         s = _explicit([0.0, 1.0], [0.0, 0.0], counterexample(), seed=5)
         for _ in range(50):
             engine.step(s)
-        assert s.P[0, 1, 0] == 1.0
-        assert s.fP[0, 1] == 1.0
+        assert s.P[1, 0, 0] == 1.0
+        assert s.fP[1, 0] == 1.0
 
     def test_noise_term_is_exactly_additive(self):
         basic = _params(m=2, delta=0.0)
@@ -117,7 +117,7 @@ class TestStep:
         rng = RngStream(9, trial=0)
         noise = np.array([[0.01 * (rng.uniform(PURPOSE_NOISE, i, j, 0) - 0.5)
                            for j in range(1)] for i in range(2)])
-        assert np.array_equal(b.V[0], a.V[0] + noise)
+        assert np.array_equal(b.V[:, 0], a.V[:, 0] + noise)
 
     def test_zero_delta_run_unaffected_by_noise_stream_evaluation(self):
         # counter-based draws are pure functions of coordinates, so evaluating
@@ -126,7 +126,7 @@ class TestStep:
         f = sphere()
         sw1 = batch.BatchSwarm(params, f, trials=4, master_seed=21)
         sw2 = batch.BatchSwarm(params, f, trials=4, master_seed=21)
-        sw2._base_d = stream_base(21, PURPOSE_NOISE, 4, params.m, params.n)
+        sw2._base_d = stream_base(21, PURPOSE_NOISE, 4, params.m, params.n).transpose(1, 0, 2)
         for _ in range(100):
             sw1.step()
             sw2.step()  # adds delta*(u - 0.5) == 0.0 exactly
@@ -195,18 +195,20 @@ def _check_draw_blocks(phi1, phi2):
     for t in range(10):
         R, S, D = sw._draws()   # R and S come scaled by phi1 and phi2
         for block, phi, base in ((R, phi1, base_r), (S, phi2, base_s)):
-            want = phi * step_uniform(base, t)
-            assert block.shape == want.shape
+            want = (phi * step_uniform(base, t)).transpose(1, 0, 2)
+            # a zero weight's factor is the scalar weight, not a block
+            assert np.shape(block) == (want.shape if phi else ())
+            block = np.broadcast_to(block, want.shape)
             assert np.array_equal(block, want)
             assert np.array_equal(np.signbit(block), np.signbit(want))
         assert np.array_equal(D, 0.01 * (step_uniform(sw._base_d, t) - 0.5))
         sw.step()
         for k in sampled:
             states[k] = ref_step(states[k], params, f, rngs[k])
-            assert np.array_equal(states[k].positions, sw.X[k])
-            assert np.array_equal(np.signbit(states[k].velocities), np.signbit(sw.V[k]))
-            assert np.array_equal(states[k].velocities, sw.V[k])
-            assert np.array_equal(states[k].pbest_values, sw.fP[k])
+            assert np.array_equal(states[k].positions, sw.X[:, k])
+            assert np.array_equal(np.signbit(states[k].velocities), np.signbit(sw.V[:, k]))
+            assert np.array_equal(states[k].velocities, sw.V[:, k])
+            assert np.array_equal(states[k].pbest_values, sw.fP[:, k])
             assert np.array_equal(states[k].gbest_position, sw.G[k])
     assert sw._block_start == 9
 
@@ -223,14 +225,14 @@ class TestBatchEquivalence:
         rngs = [RngStream(seed, trial=k) for k in range(trials)]
         states = [ref_init(params, f, rngs[k]) for k in range(trials)]
         for k in range(trials):
-            assert np.array_equal(states[k].positions, sw.X[k])
-            assert np.array_equal(states[k].velocities, sw.V[k])
+            assert np.array_equal(states[k].positions, sw.X[:, k])
+            assert np.array_equal(states[k].velocities, sw.V[:, k])
         for _ in range(60):
             sw.step()
             states = [ref_step(states[k], params, f, rngs[k]) for k in range(trials)]
             for k in range(trials):
-                assert np.array_equal(states[k].positions, sw.X[k])
-                assert np.array_equal(states[k].pbest_values, sw.fP[k])
+                assert np.array_equal(states[k].positions, sw.X[:, k])
+                assert np.array_equal(states[k].pbest_values, sw.fP[:, k])
                 assert states[k].gbest_value == sw.fG[k]
 
     def test_rejection_init_matches_engine_attempts(self):
@@ -239,7 +241,7 @@ class TestBatchEquivalence:
         seed = 1234
         sw = batch.BatchSwarm(params, f, trials=40, master_seed=seed,
                               require_nonneg_gbest=True)
-        assert (sw.X >= 0).any(axis=(1, 2)).all()
+        assert (sw.X >= 0).any(axis=(0, 2)).all()
         for k in range(40):
             attempt = 0
             while True:
@@ -247,7 +249,7 @@ class TestBatchEquivalence:
                 if (s.positions >= 0).any():
                     break
                 attempt += 1
-            assert np.array_equal(s.positions, sw.X[k])
+            assert np.array_equal(s.positions, sw.X[:, k])
 
     def test_draw_blocks_cross_boundaries_bitwise(self):
         _check_draw_blocks(1.5, 1.5)
@@ -281,14 +283,14 @@ class TestBatchEquivalence:
             sw.step()
             for k in range(trials):
                 states[k] = ref_step(states[k], params, f, rngs[k])
-                for want, got in ((states[k].positions, sw.X[k]),
-                                  (states[k].velocities, sw.V[k])):
+                for want, got in ((states[k].positions, sw.X[:, k]),
+                                  (states[k].velocities, sw.V[:, k])):
                     assert np.array_equal(want, got, equal_nan=True)
                     num = ~np.isnan(want)
                     assert np.array_equal(np.signbit(want[num]), np.signbit(got[num]))
-                assert np.array_equal(states[k].pbest_values, sw.fP[k])
-        assert np.isnan(sw.V[:2, 0, 0]).all() and np.isnan(sw.X[:2, 0, 0]).all()
-        assert (sw.V[2] == 0.0).all() and not np.signbit(sw.V[2]).any()
+                assert np.array_equal(states[k].pbest_values, sw.fP[:, k])
+        assert np.isnan(sw.V[0, :2, 0]).all() and np.isnan(sw.X[0, :2, 0]).all()
+        assert (sw.V[:, 2] == 0.0).all() and not np.signbit(sw.V[:, 2]).any()
 
 
 def test_one_trial_swarm_is_trial_zero_of_the_batch():
@@ -300,8 +302,8 @@ def test_one_trial_swarm_is_trial_zero_of_the_batch():
     for _ in range(40):
         engine.step(one)
         many.step()
-    assert np.array_equal(one.X[0], many.X[0])
-    assert np.array_equal(one.P[0], many.P[0])
+    assert np.array_equal(one.X[:, 0], many.X[:, 0])
+    assert np.array_equal(one.P[:, 0], many.P[:, 0])
     assert one.fG[0] == many.fG[0]
 
 
@@ -319,7 +321,7 @@ class TestGlobalBestSweep:
                       rng.normal(size=(trials, m)))
         fP[:40] = np.inf
         P_before, fP_before = P.copy(), fP.copy()
-        G, fG = batch._global_best(P, fP)
+        G, fG = batch._global_best(P.transpose(1, 0, 2).copy(), fP.T.copy())
         rows, gi = np.arange(trials), np.argmin(fP, axis=1)
         assert G.shape == (trials, n) and fG.shape == (trials,)
         assert G.tobytes() == P[rows, gi].tobytes()
@@ -365,13 +367,15 @@ class TestCompaction:
         for t in range(7):
             want_values = full.step()
             got_values = part.step()   # the fresh values of the rows kept so far
-            assert np.array_equal(got_values, want_values[rows] if t >= 2 else want_values)
+            assert np.array_equal(got_values, want_values[:, rows] if t >= 2 else want_values)
             if t == 1:   # mid-block: steps 0-2 were hashed together
                 part.keep(rows)
                 assert part.trials == 3 and part._block_steps == 2 ** 14 // 18
             for name in ("X", "V", "P", "fP", "G", "fG", "improved"):
                 want = getattr(full, name)
-                assert np.array_equal(getattr(part, name), want[rows] if t >= 1 else want)
+                if t >= 1:   # G and fG are (trials, ...), the rest particle-major
+                    want = want[rows] if name in ("G", "fG") else want[:, rows]
+                assert np.array_equal(getattr(part, name), want)
 
 
 def _replay_old_hit_rule(params, f, state, rng, budget, radius):
@@ -453,6 +457,9 @@ class TestHitRule:
         ("sphere_plus", sphere_plus(), True, 1, 0.004, 0.05),
         ("sqrt(sphere) - 2", monotone_transform(sphere(), lambda y: np.sqrt(y) - 2.0),
          False, 1, 0.02, 0.01),
+        # at n = 9 numpy's pairwise sum over the last axis is not a plain
+        # left-to-right sum, so the state must keep n innermost and contiguous
+        ("sphere", sphere(), False, 9, 2.0, 1.2),
     ])
     def test_random_starts_match_the_scalar_replay(self, m, name, f, nonneg, n, epsilon,
                                                    radius):
@@ -469,8 +476,8 @@ class TestHitRule:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("phi1, phi2", [(0.0, 1.7), (-0.0, 1.7), (1.3, 0.0)])
     def test_zero_weight_matches_the_scalar_replay(self, m, phi1, phi2):
-        # a zero weight's draw block is filled, not hashed; trials hit at
-        # several steps of one draw block, so dropping them cuts that block
+        # a zero weight's factor is the scalar weight, not hashed; trials hit
+        # at several steps of one draw block, so dropping them cuts that block
         params = make_params(0.6, phi1, phi2, 0.01, 1, 0.05, m, 2)
         budget = 8 * m
         assert batch.BatchSwarm(params, sphere(), 40, 80 + m)._block_steps > budget // m
@@ -515,12 +522,13 @@ def test_counterexample_runner_counts_match_a_stepped_swarm(trials):
     for t in range(steps):
         before = sw.fP.copy()
         sw.step()
-        updates += sw.fP < before
+        updates += (sw.fP < before).T
         if t >= steps - window:
-            for k, x in enumerate(sw.X[:, 1, 0].tolist()):
+            for k, x in enumerate(sw.X[1, :, 0].tolist()):
                 s1[k] += x
                 s2[k] += x * x
     assert np.array_equal(res.pbest_updates, updates)
+    assert res.pbest_updates.flags.c_contiguous
     assert updates[:, 0].sum() == 0 and (updates[:, 1] > 1).all()
     mean = np.array(s1) / window
     assert res.window_var.tobytes() == (np.array(s2) / window - mean * mean).tobytes()

@@ -37,8 +37,8 @@ CLI_RUNS = {
                           "budget=200", "--override", "stride=10", "--seed", "1"],
     "fht-sphere": ["fht", *_SPHERE2, "--override", "budget=150", "--override", "trials=40",
                    "--seed", "42", "--threads", "1"],
-    # phi1 = 0: the R term is a block of zeros; trials hit at 16 different
-    # steps inside one 68-step draw block, so dropping them cuts that block
+    # phi1 = 0: the R term's factor is the scalar phi1; trials hit at 16
+    # different steps inside one 68-step draw block, so dropping them cuts it
     "fht-phi1-zero": ["fht", *_SPHERE2, "--override", "phi1=0.0", "--override", "budget=150",
                       "--override", "trials=40", "--seed", "42", "--threads", "1"],
     "fht-explicit-m2n2": ["fht", *_EXPLICIT22, "--override", "trials=20", "--threads", "2"],

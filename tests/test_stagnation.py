@@ -272,7 +272,7 @@ class TestTwoParticleDemoBookkeeping:
         for t in range(steps + 1):
             if t > 0:
                 sw.step()
-            X, V = sw.X[:, :, 0].tolist(), sw.V[:, :, 0].tolist()
+            X, V = sw.X[:, :, 0].T.tolist(), sw.V[:, :, 0].T.tolist()
             for k, ((a, b), (va, vb)) in enumerate(zip(X, V)):
                 entered[k] = entered[k] or abs(a) <= radius or abs(b) <= radius
                 sum_abs_v[k][0] += abs(va)
@@ -284,6 +284,8 @@ class TestTwoParticleDemoBookkeeping:
                 valid_at[t] = list(valid)
         assert res.entered_ball.tolist() == entered
         assert res.sum_abs_v.tolist() == sum_abs_v
+        # C order: numpy's sum over trials in `experiments` follows memory order
+        assert res.sum_abs_v.flags.c_contiguous
         assert res.min_position.tolist() == min_pos
         assert sorted(res.d_abs_at) == sorted(res.valid_at) == list(times)
         for t in times:
