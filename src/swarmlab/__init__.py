@@ -4,7 +4,6 @@ first-hitting-time experiments."""
 from .core import (
     ObjectiveFn,
     PsoParams,
-    RngStream,
     counterexample,
     get_objective,
     make_params,

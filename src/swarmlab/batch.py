@@ -3,9 +3,10 @@
 `BatchSwarm` is the one place the swarm update is written: trials run in
 lockstep on particle-major (m, trials, n) arrays, and a one-trial run
 (:mod:`swarmlab.engine`) is a `BatchSwarm` with trials = 1.  Trial k of a
-batch draws from the same counter-based coordinates (master seed, purpose,
-trial, particle, dimension, step) as the pure-Python `RngStream`; tests check
-every trial bit for bit against a scalar reference step built on it.
+batch draws from counter-based coordinates (master seed, purpose, trial,
+particle, dimension, step) hashed by `core.stream_base` and `step_uniform`;
+tests check every trial bit for bit against an independent scalar reference
+with its own hash and objectives.
 
 Particle-major state keeps each particle's trials in one contiguous row, so
 at the wide shape (10^4 trials, m = 2, n = 1) every elementwise pass runs over
@@ -329,6 +330,10 @@ def run_fht_batch(params: PsoParams, objective: ObjectiveFn, trials: int, budget
     return step_until_hit(swarm, budget, position_ball_radius=position_ball_radius)
 
 
+# steps at which the two-particle demo records the inter-particle distance
+D_SAMPLE_TIMES = (10, 50, 200)
+
+
 @dataclass(frozen=True)
 class TwoParticleBatchResult:
     entered_ball: np.ndarray        # (trials,) bool
@@ -340,11 +345,11 @@ class TwoParticleBatchResult:
 
 def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
                           trials: int, steps: int, master_seed: int,
-                          ball_radius: float, d_sample_times=(10, 50, 200)) -> TwoParticleBatchResult:
+                          ball_radius: float) -> TwoParticleBatchResult:
     """Two-particle runs from an explicit start, tracking the statistics the
     stagnation bounds speak about: ball entries, absolute velocity sums, and
-    the inter-particle distance at sample times (with the sign prerequisites
-    monitored so bound comparisons can condition on them).
+    the inter-particle distance at the steps `D_SAMPLE_TIMES` (with the sign
+    prerequisites monitored so bound comparisons can condition on them).
     """
     if params.m != 2 or params.n != 1:
         raise ValueError("two-particle demo requires m=2, n=1")
@@ -353,7 +358,6 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
     swarm = BatchSwarm(params, objective, trials, master_seed, init="explicit",
                        positions=np.asarray(x0, dtype=np.float64),
                        velocities=np.asarray(v0, dtype=np.float64))
-    sample_set = set(int(t) for t in d_sample_times)
     entered = np.zeros(trials, dtype=bool)
     sum_abs_v = np.zeros((2, trials))   # per particle row; returned (trials, 2)
     valid = np.ones(trials, dtype=bool)
@@ -374,7 +378,7 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
         sum_abs_v += np.abs(swarm.V[:, :, 0])
         valid &= (x_min >= 0) & (np.maximum(va, vb) <= 0)
         np.minimum(min_pos, x_min, out=min_pos)
-        if t in sample_set:
+        if t in D_SAMPLE_TIMES:
             d_abs_at[t] = np.abs(xb - xa)
             valid_at[t] = valid.copy()
     return TwoParticleBatchResult(entered_ball=entered,

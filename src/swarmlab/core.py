@@ -1,5 +1,6 @@
 """Shared primitives: parameter validation, objective functions, and the
-deterministic counter-based random stream used by every simulation.
+counter-based hash every simulation draws from (a SplitMix64 finaliser over
+the draw's coordinates, in the style of Salmon et al., SC'11).
 
 Everything in this module is immutable after construction and safe to share
 across threads.
@@ -207,19 +208,14 @@ PURPOSE_INIT_V = 5
 _PURPOSE_SALT = {p: (p * _GOLDEN) & _MASK64 for p in range(1, 6)}
 
 
-def _mix64(h: int) -> int:
-    """64-bit finaliser (SplitMix64 style); pure-Python int arithmetic."""
-    h = (h + _GOLDEN) & _MASK64
-    h = ((h ^ (h >> 30)) * _MIX_A) & _MASK64
-    h = ((h ^ (h >> 27)) * _MIX_B) & _MASK64
-    return h ^ (h >> 31)
-
-
 def _mix64_np(h: np.ndarray) -> np.ndarray:
-    """Vectorised twin of _mix64 on uint64 arrays; bit-identical output.
+    """SplitMix64 finaliser (Steele, Lea & Flood, OOPSLA'14) on a uint64
+    array, the one hash of every draw.
 
     After the first addition it works in place on its own copy, which saves
-    an allocation per operation (and page faults on large arrays)."""
+    an allocation per operation (and page faults on large arrays).  Its
+    multiplies wrap modulo 2^64, silently on arrays; numpy warns on overflow
+    for a 0-d array or a numpy scalar, so pass at least one dimension."""
     h = h + np.uint64(_GOLDEN)
     h ^= h >> np.uint64(30)
     h *= np.uint64(_MIX_A)
@@ -237,8 +233,8 @@ class RngStream:
     dim, step): identical coordinates always reproduce the identical double,
     and draws that are never evaluated (e.g. velocity noise when delta == 0)
     cannot influence any other draw.  Trials therefore parallelise freely and
-    noise-free runs are bit-comparable with noisy ones.  Simulations use the
-    vectorised form (`stream_base`, `step_uniform`); tests check it on this.
+    noise-free runs are bit-comparable with noisy ones.  Simulations hash
+    blocks with `stream_base` and `step_uniform`; `uniform` is one element.
     """
 
     master_seed: int
@@ -249,31 +245,26 @@ class RngStream:
         if self.trial < 0:
             raise ValueError("trial index must be >= 0")
 
-    def raw(self, purpose: int, particle: int, dim: int, step: int) -> int:
-        h = _mix64(self.master_seed ^ _PURPOSE_SALT[purpose])
-        h = _mix64(h ^ self.trial)
-        h = _mix64(h ^ particle)
-        h = _mix64(h ^ dim)
-        return _mix64(h ^ step)
-
     def uniform(self, purpose: int, particle: int, dim: int, step: int) -> float:
         """Uniform double in [0, 1) from the top 53 bits of the hash."""
-        return (self.raw(purpose, particle, dim, step) >> 11) * 2.0 ** -53
+        base = stream_base(self.master_seed, purpose, 1, particle + 1, dim + 1, self.trial)
+        return float(step_uniform(base[:, particle:, dim:], step)[0, 0, 0])
 
 
 def stream_base(master_seed: int, purpose: int, trials: int, m: int, n: int,
                 trial_offset: int = 0) -> np.ndarray:
     """Precomputed (trials, m, n) hash states for one purpose tag.
 
-    step_uniform(base, t) then yields the same doubles as
-    RngStream(seed, trial).uniform(purpose, i, j, t) for every coordinate,
-    which lets vectorised kernels reproduce scalar runs bit for bit.
+    The seed word (the master seed xor the purpose salt) is hashed, then in
+    turn xored with and hashed over the trial, particle and dimension indices;
+    `step_uniform(base, t)` adds the step coordinate.
     """
-    h0 = _mix64((int(master_seed) & _MASK64) ^ _PURPOSE_SALT[purpose])
+    seed_word = np.array([(int(master_seed) & _MASK64) ^ _PURPOSE_SALT[purpose]],
+                         dtype=np.uint64)
     t_idx = (np.arange(trials, dtype=np.uint64) + np.uint64(trial_offset))[:, None, None]
     p_idx = np.arange(m, dtype=np.uint64)[None, :, None]
     d_idx = np.arange(n, dtype=np.uint64)[None, None, :]
-    h = _mix64_np(np.uint64(h0) ^ t_idx)
+    h = _mix64_np(_mix64_np(seed_word) ^ t_idx)
     h = _mix64_np(h ^ p_idx)
     return _mix64_np(h ^ d_idx)
 

@@ -1,12 +1,12 @@
-"""Batched-eigenvalue reference of the second-moment radius grid, for tests
-only.
+"""References of the second-moment radius, for tests only.
 
 `ref_second_moment_blocks` builds the homogeneous 3x3 second-moment block
-of every cell, and `ref_second_moment_radius_grid` takes the largest
+of every cell from E[a] and E[a^2], derived here from their definitions, and
+`second_moment_radius` (the benchmark reference's) takes the largest
 eigenvalue modulus from `numpy.linalg.eigvals`, one LAPACK call per cell.
 `swarmlab.moments` solves the block's characteristic cubic in closed form on
 the whole grid at once; comparing the two checks the closed form against a
-general eigensolver.
+general eigensolver.  Nothing here imports swarmlab.
 
 Near the triple root at omega = 1, phi -> 0, `eigvals` itself is off by a few
 parts in 1e9, so `assert_largest_real_root_near` checks a radius against the
@@ -19,7 +19,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from swarmlab.moments import _a_moments
+from benchmark_modules import reference
+
+second_moment_radius = reference.second_moment_radius
+
+
+def a_moments(omega, phi1, phi2):
+    """E[a] and E[a^2] of a = 1 + omega - (phi1 R + phi2 S), R and S
+    independent U[0, 1], from E[R] = E[S] = 1/2, E[R^2] = E[S^2] = 1/3 and
+    E[RS] = 1/4; on floats, arrays or Fractions."""
+    c = 1 + omega
+    ea = c - (phi1 + phi2) / 2
+    ea2 = (c * c - 2 * c * (phi1 + phi2) / 2
+           + phi1 * phi1 / 3 + 2 * phi1 * phi2 / 4 + phi2 * phi2 / 3)
+    return ea, ea2
 
 
 def ref_second_moment_blocks(omega, phi1, phi2) -> np.ndarray:
@@ -30,7 +43,7 @@ def ref_second_moment_blocks(omega, phi1, phi2) -> np.ndarray:
         np.asarray(phi1, dtype=np.float64),
         np.asarray(phi2, dtype=np.float64),
     )
-    ea, ea2 = _a_moments(omega, phi1, phi2)
+    ea, ea2 = a_moments(omega, phi1, phi2)
     blocks = np.zeros(omega.shape + (3, 3))
     blocks[..., 0, 0] = ea2
     blocks[..., 0, 1] = -2.0 * omega * ea
@@ -41,20 +54,11 @@ def ref_second_moment_blocks(omega, phi1, phi2) -> np.ndarray:
     return blocks
 
 
-def ref_second_moment_radius_grid(omega, phi1, phi2) -> np.ndarray:
-    """Elementwise spectral radius of `ref_second_moment_blocks`."""
-    blocks = ref_second_moment_blocks(omega, phi1, phi2)
-    ev = np.linalg.eigvals(blocks.reshape(-1, 3, 3))
-    return np.abs(ev).max(axis=1).reshape(blocks.shape[:-2])
-
-
 def _exact_block(omega, phi1, phi2):
     """The block of `ref_second_moment_blocks` at one cell, every entry the
-    exact rational value at the float inputs, from E[R] = E[S] = 1/2,
-    E[R^2] = E[S^2] = 1/3 and E[RS] = 1/4."""
-    w, p1, p2 = Fraction(omega), Fraction(phi1), Fraction(phi2)
-    ea = 1 + w - (p1 + p2) / 2
-    ea2 = (1 + w) ** 2 - (1 + w) * (p1 + p2) + p1 * p1 / 3 + p1 * p2 / 2 + p2 * p2 / 3
+    exact rational value at the float inputs."""
+    w = Fraction(omega)
+    ea, ea2 = a_moments(w, Fraction(phi1), Fraction(phi2))
     return [[ea2, -2 * w * ea, w * w], [ea, -w, 0], [1, 0, 0]]
 
 

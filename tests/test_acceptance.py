@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion at its stated scale and tolerance, one
 printed pass/fail line per criterion.
 
-The full module takes one to two minutes on a 2-core machine.  The largest
-part is criterion 4, the two-particle demo at 10^4 trials x 10^5 steps: 30-37 s
+The full module takes about 70 s on a shared 2-core machine.  The largest
+part is criterion 4, the two-particle demo at 10^4 trials x 10^5 steps: 31-36 s
 there, against its 300 s gate.  Run with `pytest tests/test_acceptance.py
 -v -s` to see the per-criterion lines as they complete.
 """

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from swarmlab import core
 from swarmlab.core import (
+    PURPOSE_INIT_V,
+    PURPOSE_INIT_X,
     PURPOSE_NOISE,
     PURPOSE_R,
     PURPOSE_S,
@@ -17,6 +19,8 @@ from swarmlab.core import (
     step_uniform,
     stream_base,
 )
+
+import scalar_reference as ref
 
 
 class TestMakeParams:
@@ -115,14 +119,21 @@ class TestRngStream:
         assert all(0.0 <= u < 1.0 for u in us)
         assert 0.4 < np.mean(us) < 0.6
 
+    # the hash, its constants and every purpose salt against the scalar
+    # reference, which re-derives them without importing swarmlab
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32), st.integers(0, 100),
            st.integers(0, 10), st.integers(0, 2**31))
     @settings(max_examples=200)
     def test_scalar_and_vector_paths_bit_identical(self, seed, trial, particle, dim, step):
-        scalar = RngStream(seed, trial=trial).uniform(PURPOSE_S, particle, dim, step)
-        base = stream_base(seed, PURPOSE_S, trials=1, m=particle + 1, n=dim + 1,
-                           trial_offset=trial)
-        assert step_uniform(base, step)[0, particle, dim] == scalar
+        draw = ref.trial_draws(seed, trial)
+        for purpose, ref_purpose in ((PURPOSE_R, ref.R), (PURPOSE_S, ref.S),
+                                     (PURPOSE_NOISE, ref.NOISE), (PURPOSE_INIT_X, ref.INIT_X),
+                                     (PURPOSE_INIT_V, ref.INIT_V)):
+            want = draw(ref_purpose, particle, dim, step)
+            base = stream_base(seed, purpose, trials=1, m=particle + 1, n=dim + 1,
+                               trial_offset=trial)
+            assert step_uniform(base, step)[0, particle, dim] == want
+            assert RngStream(seed, trial=trial).uniform(purpose, particle, dim, step) == want
 
     def test_trial_offset_matches_trial_index(self):
         base_a = stream_base(5, PURPOSE_R, trials=4, m=2, n=1, trial_offset=10)

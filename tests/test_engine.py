@@ -6,7 +6,6 @@ from swarmlab.core import (
     PURPOSE_NOISE,
     PURPOSE_R,
     PURPOSE_S,
-    RngStream,
     counterexample,
     make_params,
     monotone_transform,
@@ -16,7 +15,8 @@ from swarmlab.core import (
     step_uniform,
 )
 
-from scalar_reference import ref_explicit, ref_init, ref_step
+import scalar_reference as ref
+from scalar_reference import NOISE, ref_explicit, ref_init, ref_step, trial_draws
 
 
 def _params(**kw):
@@ -114,8 +114,8 @@ class TestStep:
         f = sphere()
         a = engine.step(engine.init_swarm(basic, f, 9))
         b = engine.step(engine.init_swarm(noisy, f, 9))
-        rng = RngStream(9, trial=0)
-        noise = np.array([[0.01 * (rng.uniform(PURPOSE_NOISE, i, j, 0) - 0.5)
+        draw = trial_draws(9, 0)
+        noise = np.array([[0.01 * (draw(NOISE, i, j, 0) - 0.5)
                            for j in range(1)] for i in range(2)])
         assert np.array_equal(b.V[:, 0], a.V[:, 0] + noise)
 
@@ -190,8 +190,8 @@ def _check_draw_blocks(phi1, phi2):
     base_r, base_s = (stream_base(seed, purpose, trials, params.m, params.n)
                       for purpose in (PURPOSE_R, PURPOSE_S))
     sampled = [0, 1, 417, 799]
-    rngs = {k: RngStream(seed, trial=k) for k in sampled}
-    states = {k: ref_init(params, f, rngs[k]) for k in sampled}
+    draws = {k: trial_draws(seed, k) for k in sampled}
+    states = {k: ref_init(params, ref.sphere, draws[k]) for k in sampled}
     for t in range(10):
         R, S, D = sw._draws()   # R and S come scaled by phi1 and phi2
         for block, phi, base in ((R, phi1, base_r), (S, phi2, base_s)):
@@ -204,7 +204,7 @@ def _check_draw_blocks(phi1, phi2):
         assert np.array_equal(D, 0.01 * (step_uniform(sw._base_d, t) - 0.5))
         sw.step()
         for k in sampled:
-            states[k] = ref_step(states[k], params, f, rngs[k])
+            states[k] = ref_step(states[k], params, ref.sphere, draws[k])
             assert np.array_equal(states[k].positions, sw.X[:, k])
             assert np.array_equal(np.signbit(states[k].velocities), np.signbit(sw.V[:, k]))
             assert np.array_equal(states[k].velocities, sw.V[:, k])
@@ -216,20 +216,20 @@ def _check_draw_blocks(phi1, phi2):
 class TestBatchEquivalence:
     @pytest.mark.parametrize("delta", [0.0, 0.01])
     def test_engine_and_batch_bitwise_equal(self, delta):
-        # the kernel against the scalar reference, one RngStream draw at a time
+        # the kernel against the scalar reference, one reference draw at a time
         params = make_params(0.4, 1.5, 1.5, delta, 1, 1e-4, 3, 2)
         f = sphere()
         seed = 99
         trials = 5
         sw = batch.BatchSwarm(params, f, trials=trials, master_seed=seed)
-        rngs = [RngStream(seed, trial=k) for k in range(trials)]
-        states = [ref_init(params, f, rngs[k]) for k in range(trials)]
+        draws = [trial_draws(seed, k) for k in range(trials)]
+        states = [ref_init(params, ref.sphere, draws[k]) for k in range(trials)]
         for k in range(trials):
             assert np.array_equal(states[k].positions, sw.X[:, k])
             assert np.array_equal(states[k].velocities, sw.V[:, k])
         for _ in range(60):
             sw.step()
-            states = [ref_step(states[k], params, f, rngs[k]) for k in range(trials)]
+            states = [ref_step(states[k], params, ref.sphere, draws[k]) for k in range(trials)]
             for k in range(trials):
                 assert np.array_equal(states[k].positions, sw.X[:, k])
                 assert np.array_equal(states[k].pbest_values, sw.fP[:, k])
@@ -245,7 +245,7 @@ class TestBatchEquivalence:
         for k in range(40):
             attempt = 0
             while True:
-                s = ref_init(params, f, RngStream(seed, trial=k), attempt=attempt)
+                s = ref_init(params, ref.sphere, trial_draws(seed, k), attempt=attempt)
                 if (s.positions >= 0).any():
                     break
                 attempt += 1
@@ -277,12 +277,12 @@ class TestBatchEquivalence:
         seed, trials = 6, len(X0)
         sw = batch.BatchSwarm(params, f, trials, seed, init="explicit",
                               positions=X0, velocities=V0)
-        rngs = [RngStream(seed, trial=k) for k in range(trials)]
-        states = [ref_explicit(f, X0[k], V0[k]) for k in range(trials)]
+        draws = [trial_draws(seed, k) for k in range(trials)]
+        states = [ref_explicit(ref.sphere, X0[k], V0[k]) for k in range(trials)]
         for _ in range(4):
             sw.step()
             for k in range(trials):
-                states[k] = ref_step(states[k], params, f, rngs[k])
+                states[k] = ref_step(states[k], params, ref.sphere, draws[k])
                 for want, got in ((states[k].positions, sw.X[:, k]),
                                   (states[k].velocities, sw.V[:, k])):
                     assert np.array_equal(want, got, equal_nan=True)
@@ -378,28 +378,29 @@ class TestCompaction:
                 assert np.array_equal(getattr(part, name), want)
 
 
-def _replay_old_hit_rule(params, f, state, rng, budget, radius):
+def _replay_old_hit_rule(params, opt, ref_f, state, draw, budget, radius):
     """(evals at the hit or -1, final global-best value, whether a particle
-    came within `radius` of the origin) of one scalar reference run under the
-    rule any(|values - opt| < epsilon), applied to every sweep's fresh values,
-    the initial sweep included."""
-    m, opt = params.m, f.optimum_value
+    came within `radius` of the origin) of one scalar reference run of the
+    reference objective `ref_f` under the rule any(|values - opt| < epsilon),
+    applied to every sweep's fresh values, the initial sweep included."""
+    m = params.m
     evals, entered = m, False
     while True:
         entered |= any(np.sum(x * x) <= radius ** 2 for x in state.positions)
-        values = np.array([f.evaluate(x) for x in state.positions])
+        values = np.array([ref_f(x) for x in state.positions])
         if np.any(np.abs(values - opt) < params.epsilon):
             return evals, state.gbest_value, entered
         if evals + m > budget:
             return -1, state.gbest_value, entered
-        state = ref_step(state, params, f, rng)
+        state = ref_step(state, params, ref_f, draw)
         evals += m
 
 
-def _check_hit_rule(params, f, trials, budget, seed, nonneg=False, X0=None, V0=None,
-                    radius=0.1):
-    """run_fht_batch and run_until_hit against the scalar replay; returns the
-    replayed hit evals and position-ball entries."""
+def _check_hit_rule(params, f, ref_f, trials, budget, seed, nonneg=False, X0=None,
+                    V0=None, radius=0.1):
+    """run_fht_batch and run_until_hit on the objective `f` against the scalar
+    replay on its reference `ref_f`; returns the replayed hit evals and
+    position-ball entries."""
     explicit = X0 is not None
     init = "explicit" if explicit else "random"
     full = batch.run_fht_batch(params, f, trials, budget, seed, init=init,
@@ -407,19 +408,20 @@ def _check_hit_rule(params, f, trials, budget, seed, nonneg=False, X0=None, V0=N
                                position_ball_radius=radius)
     want = []
     for k in range(trials):
-        rng = RngStream(seed, trial=k)
+        draw = trial_draws(seed, k)
         if explicit:
-            state = ref_explicit(f, X0[k], V0[k])
+            state = ref_explicit(ref_f, X0[k], V0[k])
             one = batch.BatchSwarm(params, f, 1, seed, k, init="explicit",
                                    positions=X0[k], velocities=V0[k])
         else:
             attempt = 0
-            state = ref_init(params, f, rng)
+            state = ref_init(params, ref_f, draw)
             while nonneg and not (state.positions >= 0).any():
                 attempt += 1
-                state = ref_init(params, f, rng, attempt=attempt)
+                state = ref_init(params, ref_f, draw, attempt=attempt)
             one = engine.init_swarm(params, f, seed, trial=k, require_nonneg_gbest=nonneg)
-        evals, gbest, entered = _replay_old_hit_rule(params, f, state, rng, budget, radius)
+        evals, gbest, entered = _replay_old_hit_rule(params, f.optimum_value, ref_f, state,
+                                                     draw, budget, radius)
         r = engine.run_until_hit(one, budget)
         assert (full.hit_evals[k], full.final_gbest_value[k]) == (evals, gbest)
         assert full.entered_position_ball[k] == entered
@@ -448,26 +450,35 @@ class TestStepUntilHit:
         assert np.array_equal(swarm.fG, res.final_gbest_value[last])
 
 
+# (the kernel's objective, its scalar reference)
+SPHERE = (sphere(), ref.sphere)
+
+
+def _transformed(g):
+    """g(sphere) in the kernel, and g on the reference sphere."""
+    return monotone_transform(sphere(), g), lambda x: g(ref.sphere(x))
+
+
 class TestHitRule:
     # hits are read off the global-best value; the replays apply the rule on
     # every fresh value, which agrees because no value is below the optimum
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("name, f, nonneg, n, epsilon, radius", [
-        ("sphere", sphere(), False, 2, 0.05, 0.1),
-        ("sphere_plus", sphere_plus(), True, 1, 0.004, 0.05),
-        ("sqrt(sphere) - 2", monotone_transform(sphere(), lambda y: np.sqrt(y) - 2.0),
-         False, 1, 0.02, 0.01),
+        ("sphere", SPHERE, False, 2, 0.05, 0.1),
+        ("sphere_plus", (sphere_plus(), ref.sphere_plus), True, 1, 0.004, 0.05),
+        ("sqrt(sphere) - 2", _transformed(lambda y: np.sqrt(y) - 2.0), False, 1, 0.02, 0.01),
         # at n = 9 numpy's pairwise sum over the last axis is not a plain
         # left-to-right sum, so the state must keep n innermost and contiguous
-        ("sphere", sphere(), False, 9, 2.0, 1.2),
+        ("sphere", SPHERE, False, 9, 2.0, 1.2),
     ])
     def test_random_starts_match_the_scalar_replay(self, m, name, f, nonneg, n, epsilon,
                                                    radius):
+        f, ref_f = f
         # phi1 != phi2, so the scaled draw blocks must keep the two apart
         params = make_params(0.6, 1.3, 1.7, 0.01, 1, epsilon, m, n)
         budget = 8 * m
-        evals, entered = _check_hit_rule(params, f, 40, budget, 70 + m, nonneg=nonneg,
-                                         radius=radius)
+        evals, entered = _check_hit_rule(params, f, ref_f, 40, budget, 70 + m,
+                                         nonneg=nonneg, radius=radius)
         assert (evals == m).any()                        # hits at the initial sweep
         assert ((evals > m) & (evals <= budget)).any()   # hits while stepping
         assert (evals == -1).any()                       # censored
@@ -481,16 +492,17 @@ class TestHitRule:
         params = make_params(0.6, phi1, phi2, 0.01, 1, 0.05, m, 2)
         budget = 8 * m
         assert batch.BatchSwarm(params, sphere(), 40, 80 + m)._block_steps > budget // m
-        evals, entered = _check_hit_rule(params, sphere(), 40, budget, 80 + m)
+        evals, entered = _check_hit_rule(params, sphere(), ref.sphere, 40, budget, 80 + m)
         assert (evals == m).any() and (evals == -1).any()
         assert len(set(evals[evals > m].tolist())) >= 4
         assert entered.any()
 
     @pytest.mark.parametrize("name, f", [
-        ("sphere", sphere()),
-        ("sqrt(sphere) + 1", monotone_transform(sphere(), lambda y: np.sqrt(y) + 1.0)),
+        ("sphere", SPHERE),
+        ("sqrt(sphere) + 1", _transformed(lambda y: np.sqrt(y) + 1.0)),
     ])
     def test_a_value_exactly_epsilon_above_the_optimum_is_no_hit(self, name, f):
+        f, ref_f = f
         # at x = 0.5 both objectives are exactly epsilon above their optimum;
         # a swarm at rest there never moves
         epsilon = f.evaluate(np.array([0.5])) - f.optimum_value
@@ -501,7 +513,7 @@ class TestHitRule:
         V0 = rng.uniform(-0.2, 0.2, (30, 2, 1))
         X0[0], V0[0] = 0.5, 0.0          # at the boundary and at rest
         X0[1] = [[0.5], [0.25]]          # hit at the initial sweep
-        evals, _ = _check_hit_rule(params, f, 30, 40, 11, X0=X0, V0=V0)
+        evals, _ = _check_hit_rule(params, f, ref_f, 30, 40, 11, X0=X0, V0=V0)
         assert evals[0] == -1 and evals[1] == 2
         assert (evals > 2).any()
 

@@ -6,9 +6,10 @@ from swarmlab import moments, regions
 from swarmlab.core import make_params
 
 from moments_reference import (
+    a_moments,
     assert_largest_real_root_near,
     ref_second_moment_blocks,
-    ref_second_moment_radius_grid,
+    second_moment_radius,
 )
 
 
@@ -275,7 +276,7 @@ class TestSpectralRadius:
 
 def _assert_matches_reference(omega, phi1, phi2, rel=1e-9):
     got = moments.second_moment_radius_grid(omega, phi1, phi2)
-    want = ref_second_moment_radius_grid(omega, phi1, phi2)
+    want = second_moment_radius(omega, phi1, phi2)
     assert np.shape(got) == np.shape(want)
     np.testing.assert_allclose(got, want, rtol=rel, atol=0)
 
@@ -287,7 +288,7 @@ class TestRadiusGridClosedForm:
     def test_omega_zero_double_root_at_zero(self, phi1, phi2):
         # roots 0, 0 and E[a^2]
         _assert_matches_reference(0.0, phi1, phi2)
-        ea2 = moments._a_moments(0.0, phi1, phi2)[1]
+        ea2 = a_moments(0.0, phi1, phi2)[1]
         assert moments.second_moment_radius_grid(0.0, phi1, phi2) == pytest.approx(ea2, rel=1e-12)
 
     @pytest.mark.parametrize("omega", [-0.99, -0.5, 0.0, 0.5, 0.99])
@@ -367,7 +368,7 @@ class TestRadiusGridClosedForm:
         ph = (np.arange(res) + 0.5) / res * 4.0
         OM, PH = np.meshgrid(om, ph, indexing="ij")
         got = moments.second_moment_radius_grid(OM, PH, PH)
-        want = ref_second_moment_radius_grid(OM, PH, PH)
+        want = second_moment_radius(OM, PH, PH)
         assert np.abs(got / want - 1.0).max() <= 1e-10
         assert ((got < 1) == (want < 1)).all()
 

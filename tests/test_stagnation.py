@@ -252,7 +252,7 @@ class TestOneParticleTrajectory:
 
 
 class TestTwoParticleDemoBookkeeping:
-    def test_every_field_matches_a_per_step_recomputation(self):
+    def test_every_field_matches_a_per_step_recomputation(self, monkeypatch):
         # with a little noise, each of the four sign prerequisites is the first
         # to break in some trial, and each particle alone enters the ball in
         # some trial while others never enter it
@@ -260,8 +260,9 @@ class TestTwoParticleDemoBookkeeping:
         x0, v0 = (2.0, 3.0), (-0.1, -0.3)
         trials, steps, seed, radius = 64, 220, 11, 5e-6
         times = tuple(range(0, steps + 1, 5))
+        monkeypatch.setattr(batch, "D_SAMPLE_TIMES", times)
         res = batch.run_two_particle_demo(params, sphere(), x0, v0, trials, steps,
-                                          seed, radius, times)
+                                          seed, radius)
         sw = batch.BatchSwarm(params, sphere(), trials, seed, init="explicit",
                               positions=x0, velocities=v0)
         entered = [False] * trials

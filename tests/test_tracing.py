@@ -2,23 +2,13 @@
 points by name.  Installing it here fails as soon as a traced name is gone,
 without a benchmark run."""
 
-import importlib.util
-from pathlib import Path
-
 from swarmlab import cli
 
-TRACING = Path(__file__).resolve().parents[1] / "swarmbench" / "tracing.py"
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("swarmbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from benchmark_modules import load
 
 
 def test_tracer_installs_on_every_traced_name_and_uninstalls(tmp_path):
-    tracing = _load_tracing()
+    tracing = load("tracing")
     targets = [(owner, attr) for pairs in tracing.SPANS.values() for owner, attr in pairs]
     originals = [owner.__dict__[attr] for owner, attr in targets]
     tracer = tracing.Tracer()
