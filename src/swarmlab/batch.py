@@ -54,7 +54,6 @@ from .core import (
     PURPOSE_NOISE,
     PURPOSE_R,
     PURPOSE_S,
-    _sphere_batch,
     step_uniform,
     stream_base,
 )
@@ -259,14 +258,9 @@ class BatchSwarm:
 class FhtBatchResult:
     hit_evals: np.ndarray          # (trials,) int64; -1 when censored
     final_gbest_value: np.ndarray  # (trials,)
-    # (trials,) bool: a particle of the trial entered the position ball at some
-    # step of its own run, up to its hit or the budget; None when not tracked
-    entered_position_ball: np.ndarray | None
 
 
-def step_until_hit(swarm: BatchSwarm, budget: int, *,
-                   position_ball_radius: float | None = None,
-                   observe=None) -> FhtBatchResult:
+def step_until_hit(swarm: BatchSwarm, budget: int, *, observe=None) -> FhtBatchResult:
     """Step each trial until one of its values is within epsilon of the
     optimum value (a hit, at the eval_count of that sweep; the initial m
     evaluations are the first) or the next sweep would exceed the budget.
@@ -274,8 +268,9 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *,
     No value lies below the optimum value (see `ObjectiveFn`), so a hit shows
     in `fG`, tested only when `step` has made a new one.  Trials that hit leave
     the batch (`keep`), except the last, so the swarm ends in its hit state.
-    `observe(swarm)` runs after each step.  With position_ball_radius, each
-    particle's least squared norm tells whether it entered that ball.
+    `observe(swarm)` runs after each step.  A trial's final global-best value
+    is the least value it evaluated; on the sphere that is the least squared
+    norm of every position it visited.
     """
     m = swarm.params.m
     if budget < m:
@@ -284,15 +279,8 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *,
     live = np.arange(swarm.trials)   # batch row -> trial id
     hit_evals = np.full(live.size, -1, dtype=np.int64)
     final_g = np.empty(live.size)
-    entered = least_sq = tested = None
-    if position_ball_radius is not None:
-        entered = np.zeros(live.size, dtype=bool)
-        r2_max = position_ball_radius ** 2
-        # per particle and batch row; fmin skips a NaN norm, as <= r2_max would
-        least_sq = np.full((m, live.size), np.inf)
+    tested = None
     while True:
-        if least_sq is not None:
-            np.fmin(least_sq, _sphere_batch(swarm.X), out=least_sq)
         if swarm.fG is not tested:
             tested = swarm.fG
             hit = tested - opt < eps
@@ -300,34 +288,26 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *,
                 done = live[hit]
                 hit_evals[done] = swarm.eval_count
                 final_g[done] = tested[hit]
-                if least_sq is not None:
-                    entered[done] = (least_sq[:, hit] <= r2_max).any(axis=0)
                 if done.size == live.size:
                     break
                 rows = np.flatnonzero(~hit)
                 live = live[rows]
                 swarm.keep(rows)
-                if least_sq is not None:
-                    least_sq = least_sq[:, rows]
         if swarm.eval_count + m > budget:
             final_g[live] = swarm.fG
-            if least_sq is not None:
-                entered[live] = (least_sq <= r2_max).any(axis=0)
             break
         swarm.step()
         if observe is not None:
             observe(swarm)
-    return FhtBatchResult(hit_evals=hit_evals, final_gbest_value=final_g,
-                          entered_position_ball=entered)
+    return FhtBatchResult(hit_evals=hit_evals, final_gbest_value=final_g)
 
 
 def run_fht_batch(params: PsoParams, objective: ObjectiveFn, trials: int, budget: int,
-                  master_seed: int, *, position_ball_radius: float | None = None,
-                  **start) -> FhtBatchResult:
+                  master_seed: int, **start) -> FhtBatchResult:
     """First-hitting-time runs: `step_until_hit` on a fresh `BatchSwarm` built
     with the keywords in `start`."""
     swarm = BatchSwarm(params, objective, trials, master_seed, **start)
-    return step_until_hit(swarm, budget, position_ball_radius=position_ball_radius)
+    return step_until_hit(swarm, budget)
 
 
 # steps at which the two-particle demo records the inter-particle distance
@@ -344,12 +324,12 @@ class TwoParticleBatchResult:
 
 
 def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
-                          trials: int, steps: int, master_seed: int,
-                          ball_radius: float) -> TwoParticleBatchResult:
+                          trials: int, steps: int, master_seed: int) -> TwoParticleBatchResult:
     """Two-particle runs from an explicit start, tracking the statistics the
-    stagnation bounds speak about: ball entries, absolute velocity sums, and
-    the inter-particle distance at the steps `D_SAMPLE_TIMES` (with the sign
-    prerequisites monitored so bound comparisons can condition on them).
+    stagnation bounds speak about: entries into the target ball |x| <=
+    params.epsilon, absolute velocity sums, and the inter-particle distance
+    at the steps `D_SAMPLE_TIMES` (with the sign prerequisites monitored so
+    bound comparisons can condition on them).
     """
     if params.m != 2 or params.n != 1:
         raise ValueError("two-particle demo requires m=2, n=1")
@@ -358,6 +338,7 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
     swarm = BatchSwarm(params, objective, trials, master_seed, init="explicit",
                        positions=np.asarray(x0, dtype=np.float64),
                        velocities=np.asarray(v0, dtype=np.float64))
+    radius = params.epsilon
     entered = np.zeros(trials, dtype=bool)
     sum_abs_v = np.zeros((2, trials))   # per particle row; returned (trials, 2)
     valid = np.ones(trials, dtype=bool)
@@ -374,7 +355,7 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
         # min and max propagate NaN, so each sign test fails on a NaN as the
         # two per-particle tests would
         x_min = np.minimum(xa, xb)
-        entered |= (np.abs(xa) <= ball_radius) | (np.abs(xb) <= ball_radius)
+        entered |= (np.abs(xa) <= radius) | (np.abs(xb) <= radius)
         sum_abs_v += np.abs(swarm.V[:, :, 0])
         valid &= (x_min >= 0) & (np.maximum(va, vb) <= 0)
         np.minimum(min_pos, x_min, out=min_pos)

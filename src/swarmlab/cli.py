@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 
@@ -177,11 +176,6 @@ def _resolve_seed(args) -> int:
         raise CliError(f"--seed must be an integer or 'auto', got {seed!r}") from None
 
 
-def _threads(args) -> int:
-    """Worker threads from --threads, clamped to [1, cpu count]."""
-    return max(1, min(args.threads, os.cpu_count() or 1))
-
-
 # ---------------------------------------------------------------------------
 # artifact and manifest writing
 # ---------------------------------------------------------------------------
@@ -274,7 +268,7 @@ def cmd_fht(args) -> int:
     params = _params_from_config(cfg)
     seed = _resolve_seed(args)
     est = experiments.estimate_fht(params, get_objective(cfg["objective"]), cfg["trials"],
-                                   cfg["budget"], seed, threads=_threads(args),
+                                   cfg["budget"], seed, threads=args.threads,
                                    **_start(cfg, params))
     out = _out_dir(args)
     rows = ["trial,outcome,evals,final_g_value"]

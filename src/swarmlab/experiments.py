@@ -12,6 +12,7 @@ unchanged, so the kernel checks them once for every caller.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,6 @@ class FhtEstimate:
     wilson_high: float
     hit_evals: np.ndarray           # (trials,) int64, -1 for censored
     final_gbest_values: np.ndarray  # (trials,)
-    entered_position_ball: np.ndarray | None = None
 
     def lines(self):
         out = [
@@ -85,26 +85,22 @@ class FhtEstimate:
 
 
 def estimate_fht(params: PsoParams, objective: ObjectiveFn, trials: int, budget: int,
-                 master_seed: int, *, threads: int = 1,
-                 position_ball_radius: float | None = None, **start) -> FhtEstimate:
+                 master_seed: int, *, threads: int = 1, **start) -> FhtEstimate:
     """Run `trials` independent trials with split random streams.
 
     The arguments are those of `batch.run_fht_batch`; `start` holds the
     `BatchSwarm` start keywords (`init`, `positions`, `velocities`,
     `require_nonneg_gbest`).  Censored trials are excluded from the hit-time
-    statistics and reported separately; no imputation.  With threads > 1 the
-    trial range is split into contiguous blocks whose results are
-    concatenated in block order, so the outcome is identical for any thread
-    count.  With position_ball_radius set, `entered_position_ball` covers
-    each trial's own run, up to its hit or the budget, so it too is
-    independent of the thread count.
+    statistics and reported separately; no imputation.  `threads` is clamped
+    to [1, min(trials, CPU count)]; with more than one, the trial range is
+    split into contiguous blocks whose results are concatenated in block
+    order, so the outcome is identical for any thread count.
     """
     def run_block(offset, count):
         return batch.run_fht_batch(params, objective, count, budget, master_seed,
-                                   trial_offset=offset,
-                                   position_ball_radius=position_ball_radius, **start)
+                                   trial_offset=offset, **start)
 
-    threads = max(1, min(threads, trials))
+    threads = max(1, min(threads, trials, os.cpu_count() or 1))
     if threads == 1:
         results = [run_block(0, trials)]
     else:
@@ -117,8 +113,6 @@ def estimate_fht(params: PsoParams, objective: ObjectiveFn, trials: int, budget:
             results = list(pool.map(lambda ab: run_block(*ab), blocks))
     hit_evals = np.concatenate([r.hit_evals for r in results])
     final_g = np.concatenate([r.final_gbest_value for r in results])
-    entered = (np.concatenate([r.entered_position_ball for r in results])
-               if position_ball_radius is not None else None)
 
     hit_mask = hit_evals >= 0
     hits = int(hit_mask.sum())
@@ -140,7 +134,6 @@ def estimate_fht(params: PsoParams, objective: ObjectiveFn, trials: int, budget:
         wilson_high=hi,
         hit_evals=hit_evals,
         final_gbest_values=final_g,
-        entered_position_ball=entered,
     )
 
 
@@ -206,7 +199,7 @@ def stagnation_demo_two_particles(params: PsoParams, init: stagnation.TwoParticl
     f = get_objective("sphere")
     res = batch.run_two_particle_demo(
         params, f, [init.x1, init.x2], [init.v1, init.v2],
-        trials, steps, master_seed, params.epsilon)
+        trials, steps, master_seed)
     rows = []
     for t in sorted(res.d_abs_at):
         keep = res.valid_at[t]

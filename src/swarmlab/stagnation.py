@@ -101,22 +101,16 @@ def fib_closed_form(c: float, a1: float, a2: float, n: int) -> float:
     return float(A * alpha ** n + B * beta ** n)
 
 
-def d_abs_expectation_bound(t: int, init: TwoParticleInit, kappa_value: float,
-                            conservative: bool = False) -> float:
+def d_abs_expectation_bound(t: int, init: TwoParticleInit, kappa_value: float) -> float:
     """Bound on the expected inter-particle distance after t steps:
     kappa^t (2|D0| + v1 - v2).
 
-    The signed velocity difference follows the bound's stated constant; pass
-    conservative=True for the safe variant 2|D0| + |v1| + |v2|.  t = 0 returns
-    the constant itself.
+    The signed velocity difference follows the bound's stated constant.
+    t = 0 returns the constant itself.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if conservative:
-        const = 2.0 * abs(init.d0) + abs(init.v1) + abs(init.v2)
-    else:
-        const = 2.0 * abs(init.d0) + init.v1 - init.v2
-    return kappa_value ** t * const
+    return kappa_value ** t * (2.0 * abs(init.d0) + init.v1 - init.v2)
 
 
 def velocity_sum_bound(params: PsoParams, init: TwoParticleInit) -> float:

@@ -1,12 +1,10 @@
-import argparse
 import hashlib
-import os
 
 import numpy as np
 import pytest
 
 from swarmlab.batch import BatchSwarm
-from swarmlab.cli import _threads, main
+from swarmlab.cli import main
 from swarmlab.core import make_params, sphere_plus
 
 
@@ -448,10 +446,3 @@ class TestSubcommands:
         assert main(base + ["--out", str(tmp_path / "b")]) == 0
         for name in ("fht.csv", "survival.csv", "summary.txt", "manifest.txt"):
             assert _read(tmp_path / "a" / name) == _read(tmp_path / "b" / name)
-
-
-class TestThreads:
-    # resolves the count only; no thread is started
-    def test_flag_capped_at_cpu_count(self):
-        assert _threads(argparse.Namespace(threads=10**6)) == (os.cpu_count() or 1)
-        assert _threads(argparse.Namespace(threads=0)) == 1

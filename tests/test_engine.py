@@ -348,15 +348,14 @@ class TestCompaction:
         seed, trials = 21, 300
         assert batch.BatchSwarm(params, f, trials, seed)._block_steps == 27 // n
         full = batch.run_fht_batch(params, f, trials, budget, seed,
-                                   require_nonneg_gbest=nonneg, position_ball_radius=0.02)
+                                   require_nonneg_gbest=nonneg)
         hits = full.hit_evals[full.hit_evals >= 0]
         assert len(set(hits.tolist())) > 10 and len(hits) < trials
         for k in range(trials):
             one = batch.run_fht_batch(params, f, 1, budget, seed, trial_offset=k,
-                                      require_nonneg_gbest=nonneg, position_ball_radius=0.02)
+                                      require_nonneg_gbest=nonneg)
             assert one.hit_evals[0] == full.hit_evals[k]
             assert one.final_gbest_value[0] == full.final_gbest_value[k]
-            assert one.entered_position_ball[0] == full.entered_position_ball[k]
 
     def test_keep_gathers_rows_and_resizes_blocks(self):
         params = make_params(0.4, 1.5, 1.5, 0.01, 1, 1e-4, 3, 2)
@@ -378,34 +377,31 @@ class TestCompaction:
                 assert np.array_equal(getattr(part, name), want)
 
 
-def _replay_old_hit_rule(params, opt, ref_f, state, draw, budget, radius):
-    """(evals at the hit or -1, final global-best value, whether a particle
-    came within `radius` of the origin) of one scalar reference run of the
-    reference objective `ref_f` under the rule any(|values - opt| < epsilon),
-    applied to every sweep's fresh values, the initial sweep included."""
+def _replay_old_hit_rule(params, opt, ref_f, state, draw, budget):
+    """(evals at the hit or -1, final global-best value) of one scalar
+    reference run of the reference objective `ref_f` under the rule
+    any(|values - opt| < epsilon), applied to every sweep's fresh values, the
+    initial sweep included."""
     m = params.m
-    evals, entered = m, False
+    evals = m
     while True:
-        entered |= any(np.sum(x * x) <= radius ** 2 for x in state.positions)
         values = np.array([ref_f(x) for x in state.positions])
         if np.any(np.abs(values - opt) < params.epsilon):
-            return evals, state.gbest_value, entered
+            return evals, state.gbest_value
         if evals + m > budget:
-            return -1, state.gbest_value, entered
+            return -1, state.gbest_value
         state = ref_step(state, params, ref_f, draw)
         evals += m
 
 
 def _check_hit_rule(params, f, ref_f, trials, budget, seed, nonneg=False, X0=None,
-                    V0=None, radius=0.1):
+                    V0=None):
     """run_fht_batch and run_until_hit on the objective `f` against the scalar
-    replay on its reference `ref_f`; returns the replayed hit evals and
-    position-ball entries."""
+    replay on its reference `ref_f`; returns the replayed hit evals."""
     explicit = X0 is not None
     init = "explicit" if explicit else "random"
     full = batch.run_fht_batch(params, f, trials, budget, seed, init=init,
-                               positions=X0, velocities=V0, require_nonneg_gbest=nonneg,
-                               position_ball_radius=radius)
+                               positions=X0, velocities=V0, require_nonneg_gbest=nonneg)
     want = []
     for k in range(trials):
         draw = trial_draws(seed, k)
@@ -420,15 +416,13 @@ def _check_hit_rule(params, f, ref_f, trials, budget, seed, nonneg=False, X0=Non
                 attempt += 1
                 state = ref_init(params, ref_f, draw, attempt=attempt)
             one = engine.init_swarm(params, f, seed, trial=k, require_nonneg_gbest=nonneg)
-        evals, gbest, entered = _replay_old_hit_rule(params, f.optimum_value, ref_f, state,
-                                                     draw, budget, radius)
+        evals, gbest = _replay_old_hit_rule(params, f.optimum_value, ref_f, state, draw,
+                                            budget)
         r = engine.run_until_hit(one, budget)
         assert (full.hit_evals[k], full.final_gbest_value[k]) == (evals, gbest)
-        assert full.entered_position_ball[k] == entered
         assert (r.evals_at_hit if r.hit else -1, r.final_gbest_value) == (evals, gbest)
-        want.append((evals, entered))
-    evals, entered = np.array(want).T
-    return evals, entered.astype(bool)
+        want.append(evals)
+    return np.array(want)
 
 
 class TestStepUntilHit:
@@ -463,26 +457,23 @@ class TestHitRule:
     # hits are read off the global-best value; the replays apply the rule on
     # every fresh value, which agrees because no value is below the optimum
     @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("name, f, nonneg, n, epsilon, radius", [
-        ("sphere", SPHERE, False, 2, 0.05, 0.1),
-        ("sphere_plus", (sphere_plus(), ref.sphere_plus), True, 1, 0.004, 0.05),
-        ("sqrt(sphere) - 2", _transformed(lambda y: np.sqrt(y) - 2.0), False, 1, 0.02, 0.01),
+    @pytest.mark.parametrize("name, f, nonneg, n, epsilon", [
+        ("sphere", SPHERE, False, 2, 0.05),
+        ("sphere_plus", (sphere_plus(), ref.sphere_plus), True, 1, 0.004),
+        ("sqrt(sphere) - 2", _transformed(lambda y: np.sqrt(y) - 2.0), False, 1, 0.02),
         # at n = 9 numpy's pairwise sum over the last axis is not a plain
         # left-to-right sum, so the state must keep n innermost and contiguous
-        ("sphere", SPHERE, False, 9, 2.0, 1.2),
+        ("sphere", SPHERE, False, 9, 2.0),
     ])
-    def test_random_starts_match_the_scalar_replay(self, m, name, f, nonneg, n, epsilon,
-                                                   radius):
+    def test_random_starts_match_the_scalar_replay(self, m, name, f, nonneg, n, epsilon):
         f, ref_f = f
         # phi1 != phi2, so the scaled draw blocks must keep the two apart
         params = make_params(0.6, 1.3, 1.7, 0.01, 1, epsilon, m, n)
         budget = 8 * m
-        evals, entered = _check_hit_rule(params, f, ref_f, 40, budget, 70 + m,
-                                         nonneg=nonneg, radius=radius)
+        evals = _check_hit_rule(params, f, ref_f, 40, budget, 70 + m, nonneg=nonneg)
         assert (evals == m).any()                        # hits at the initial sweep
         assert ((evals > m) & (evals <= budget)).any()   # hits while stepping
         assert (evals == -1).any()                       # censored
-        assert entered[evals > 0].any() and not entered.all()
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("phi1, phi2", [(0.0, 1.7), (-0.0, 1.7), (1.3, 0.0)])
@@ -492,10 +483,9 @@ class TestHitRule:
         params = make_params(0.6, phi1, phi2, 0.01, 1, 0.05, m, 2)
         budget = 8 * m
         assert batch.BatchSwarm(params, sphere(), 40, 80 + m)._block_steps > budget // m
-        evals, entered = _check_hit_rule(params, sphere(), ref.sphere, 40, budget, 80 + m)
+        evals = _check_hit_rule(params, sphere(), ref.sphere, 40, budget, 80 + m)
         assert (evals == m).any() and (evals == -1).any()
         assert len(set(evals[evals > m].tolist())) >= 4
-        assert entered.any()
 
     @pytest.mark.parametrize("name, f", [
         ("sphere", SPHERE),
@@ -513,7 +503,7 @@ class TestHitRule:
         V0 = rng.uniform(-0.2, 0.2, (30, 2, 1))
         X0[0], V0[0] = 0.5, 0.0          # at the boundary and at rest
         X0[1] = [[0.5], [0.25]]          # hit at the initial sweep
-        evals, _ = _check_hit_rule(params, f, ref_f, 30, 40, 11, X0=X0, V0=V0)
+        evals = _check_hit_rule(params, f, ref_f, 30, 40, 11, X0=X0, V0=V0)
         assert evals[0] == -1 and evals[1] == 2
         assert (evals > 2).any()
 

@@ -129,11 +129,6 @@ class TestBounds:
         assert stagnation.d_abs_expectation_bound(0, init, 0.9) == pytest.approx(
             2.0 + (-2.0) - (-0.5))
 
-    def test_conservative_variant(self):
-        init = TwoParticleInit(0.0, 1.0, -2.0, -0.5)
-        assert stagnation.d_abs_expectation_bound(0, init, 0.9, conservative=True) \
-            == pytest.approx(2.0 + 2.0 + 0.5)
-
     def test_velocity_sum_bound_example(self):
         params = make_params(0.07, 0.0, 1.5, 0, 200, 0.5, 2, 1)
         init = TwoParticleInit(184.0, 185.0, -1.0, -1.0)
@@ -255,14 +250,14 @@ class TestTwoParticleDemoBookkeeping:
     def test_every_field_matches_a_per_step_recomputation(self, monkeypatch):
         # with a little noise, each of the four sign prerequisites is the first
         # to break in some trial, and each particle alone enters the ball in
-        # some trial while others never enter it
-        params = make_params(0.6, 0.0, 1.5, 0.002, 200.0, 0.5, 2, 1)
+        # some trial while others never enter it; the ball is the target ball,
+        # of radius epsilon
+        params = make_params(0.6, 0.0, 1.5, 0.002, 200.0, 5e-6, 2, 1)
         x0, v0 = (2.0, 3.0), (-0.1, -0.3)
-        trials, steps, seed, radius = 64, 220, 11, 5e-6
+        trials, steps, seed, radius = 64, 220, 11, params.epsilon
         times = tuple(range(0, steps + 1, 5))
         monkeypatch.setattr(batch, "D_SAMPLE_TIMES", times)
-        res = batch.run_two_particle_demo(params, sphere(), x0, v0, trials, steps,
-                                          seed, radius)
+        res = batch.run_two_particle_demo(params, sphere(), x0, v0, trials, steps, seed)
         sw = batch.BatchSwarm(params, sphere(), trials, seed, init="explicit",
                               positions=x0, velocities=v0)
         entered = [False] * trials
