@@ -151,6 +151,9 @@ class BatchSwarm:
                 raise ValueError("explicit init positions and velocities must be finite")
             X = np.broadcast_to(X0, (trials, m, n)).transpose(1, 0, 2).copy()
             V = np.broadcast_to(V0, (trials, m, n)).transpose(1, 0, 2).copy()
+            if require_nonneg_gbest and not (X >= 0).any(axis=(0, 2)).all():
+                raise ValueError("require_nonneg_gbest needs a nonnegative position "
+                                 "in every trial's explicit start")
         else:
             raise ValueError(f"unknown init mode {init!r}")
         self.X = X
@@ -478,14 +481,15 @@ class ImprovementCounts:
 
 
 def run_improvement_counts(params: PsoParams, g_value: float, trials: int,
-                           burn_in: int, keep_steps: int, master_seed: int,
-                           eps_prime: float) -> ImprovementCounts:
+                           burn_in: int, keep_steps: int, master_seed: int) -> ImprovementCounts:
     """Event counting for the improvement-probability analysis on the
-    fixed-attractor recurrence with both bests at g_value (noisy rule).
+    fixed-attractor recurrence with both bests at g_value (noisy rule), with
+    eps' = delta/1000, well inside the admissible eps' <= (1 - 0.4899) delta.
     """
     if params.delta <= 0:
         raise ValueError("improvement counting requires delta > 0")
     d = params.delta
+    eps_prime = d / 1000.0
     lo = g_value - d
     hi = g_value - d / 100.0 + eps_prime
     y_thresh = 0.4899 * d + eps_prime

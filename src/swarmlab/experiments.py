@@ -52,6 +52,17 @@ def wilson_interval(successes: int, n: int):
     return min(p, max(0.0, center - half)), max(p, min(1.0, center + half))
 
 
+def _mean_and_se(samples: np.ndarray):
+    """Sample mean and standard error over axis 0.  The se of one sample is
+    inf, as it has no spread to estimate from; with no sample the mean is nan
+    and the se inf, and numpy is not asked for an empty mean."""
+    n = len(samples)
+    if n < 2:
+        mean = samples.mean(axis=0) if n else np.full(samples.shape[1:], np.nan)
+        return mean, np.full(samples.shape[1:], np.inf)
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / np.sqrt(n)
+
+
 @dataclass(frozen=True)
 class FhtEstimate:
     """Aggregated hit-or-censored outcomes of an FHT experiment."""
@@ -203,13 +214,10 @@ def stagnation_demo_two_particles(params: PsoParams, init: stagnation.TwoParticl
     rows = []
     for t in sorted(res.d_abs_at):
         keep = res.valid_at[t]
-        vals = res.d_abs_at[t][keep]
+        mean_d, se_d = _mean_and_se(res.d_abs_at[t][keep])
         bound = stagnation.d_abs_expectation_bound(t, init, verdict.kappa)
-        se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else np.inf
-        rows.append((t, int(keep.sum()), float(vals.mean()), se, bound))
-    mean_v = res.sum_abs_v.mean(axis=0)
-    se_v = (res.sum_abs_v.std(axis=0, ddof=1) / np.sqrt(trials) if trials > 1
-            else np.full(2, np.inf))
+        rows.append((t, int(keep.sum()), float(mean_d), float(se_d), bound))
+    mean_v, se_v = _mean_and_se(res.sum_abs_v)
     return StagnationDemoReport(
         trials=trials,
         steps=steps,
@@ -267,6 +275,7 @@ def counterexample_demo(params: PsoParams, trials: int, steps: int, window: int,
     """
     f = get_objective("counterexample")
     res = batch.run_counterexample_batch(params, f, trials, steps, window, master_seed)
+    var_mean, var_se = _mean_and_se(res.window_var)
     return CounterexampleReport(
         trials=trials,
         steps=steps,
@@ -274,9 +283,8 @@ def counterexample_demo(params: PsoParams, trials: int, steps: int, window: int,
         pbest2_updates_total=int(res.pbest_updates[:, 1].sum()),
         particle1_ever_moved=bool(res.particle1_moved.any()),
         gap_sq_always_one=bool(np.all(res.gap_sq_final == 1.0)),
-        empirical_var_mean=float(res.window_var.mean()),
-        empirical_var_se=(float(res.window_var.std(ddof=1) / np.sqrt(trials))
-                          if trials > 1 else np.inf),
+        empirical_var_mean=float(var_mean),
+        empirical_var_se=float(var_se),
         oracle_var=moments.stationary_variance(params, 1.0, 0.0),
         closed_form_var=moments.variance_limit(params, 1.0, 0.0),
     )
@@ -288,29 +296,22 @@ def counterexample_demo(params: PsoParams, trials: int, steps: int, window: int,
 
 @dataclass(frozen=True)
 class StationaryMomentReport:
-    trials: int
-    burn_in: int
-    horizon: int
     empirical_mean: float
     se_mean: float
     empirical_var: float
-    se_var: float
     mid_window_var: float
-    closed_form_mean: float
     closed_form_var: float
-    oracle_mean: float
     oracle_var: float
 
 
 def stationary_moment_check(params: PsoParams, p_best: float, g_best: float,
                             trials: int, burn_in: int, horizon: int,
                             master_seed: int) -> StationaryMomentReport:
-    """Ensemble mean/variance of the fixed-attractor recurrence at the horizon
-    versus the closed-form limits and the exact oracle fixed point.
-
-    The mid-window variance is reported alongside the final one so burn-in
-    sufficiency is visible in the report.  The standard errors need
-    trials >= 2, checked before any chain is run.
+    """Ensemble mean (with its se) and variance of the fixed-attractor
+    recurrence at the horizon versus the closed-form variance limit and the
+    exact oracle fixed point.  The mid-window variance shows whether the
+    burn-in sufficed.  The sample variances need trials >= 2, checked before
+    any chain is run.
     """
     if trials < 2:
         raise ValueError(f"stationary moment check needs trials >= 2, got {trials}")
@@ -319,22 +320,13 @@ def stationary_moment_check(params: PsoParams, p_best: float, g_best: float,
     snaps = batch.run_fixed_attractor_ensemble(
         params, p_best, g_best, trials, total, master_seed, checkpoints=(mid,))
     x_end = snaps[total]
-    x_mid = snaps[mid]
-    var = float(x_end.var(ddof=1))
-    limits = moments.moment_limits(params, p_best, g_best)
-    stat = moments.stationary_moments(params, p_best, g_best)
+    mean, se = _mean_and_se(x_end)
     return StationaryMomentReport(
-        trials=trials,
-        burn_in=burn_in,
-        horizon=horizon,
-        empirical_mean=float(x_end.mean()),
-        se_mean=float(x_end.std(ddof=1) / np.sqrt(trials)),
-        empirical_var=var,
-        se_var=float(var * np.sqrt(2.0 / (trials - 1))),
-        mid_window_var=float(x_mid.var(ddof=1)),
-        closed_form_mean=limits.mean_limit,
-        closed_form_var=limits.var_limit,
-        oracle_mean=float(stat[3]),
+        empirical_mean=float(mean),
+        se_mean=float(se),
+        empirical_var=float(x_end.var(ddof=1)),
+        mid_window_var=float(snaps[mid].var(ddof=1)),
+        closed_form_var=moments.moment_limits(params, p_best, g_best).var_limit,
         oracle_var=moments.stationary_variance(params, p_best, g_best),
     )
 
@@ -365,10 +357,8 @@ def improvement_probability_check(params: PsoParams, trials: int, master_seed: i
                                   target_samples: int = 10_000_000) -> ImprovementProbabilityReport:
     """Empirical verification of the improvement-event constants on the
     fixed-attractor recurrence with both bests at G = 1, counted after a
-    burn-in of 2000 steps.
-
-    eps' is delta/1000, well inside the admissible range
-    eps' <= (1 - 0.4899) delta.
+    burn-in of 2000 steps, with eps' = delta/1000 as
+    `batch.run_improvement_counts` sets it.
     """
     f1 = float(moments.f_one(params.omega, params.phi1, params.phi2))
     if f1 <= 1.0 / 3.0:
@@ -376,8 +366,7 @@ def improvement_probability_check(params: PsoParams, trials: int, master_seed: i
     if params.delta <= 0:
         raise ValueError("requires a noisy update rule (delta > 0)")
     keep = max(1, int(np.ceil(target_samples / trials)))
-    counts = batch.run_improvement_counts(params, 1.0, trials, 2000, keep,
-                                          master_seed, params.delta / 1000.0)
+    counts = batch.run_improvement_counts(params, 1.0, trials, 2000, keep, master_seed)
     return ImprovementProbabilityReport(
         samples=counts.samples,
         analytic_noise_tail=noise_tail_probability(),
@@ -397,8 +386,6 @@ def improvement_probability_check(params: PsoParams, trials: int, master_seed: i
 
 @dataclass(frozen=True)
 class PbestNullSequenceReport:
-    trials: int
-    horizon: int
     median_initial_gap_sq: float
     median_ratio_at: dict      # t -> median gap_sq(t) / gap_sq(0)
 
@@ -409,15 +396,14 @@ def pbest_null_sequence_check(params: PsoParams, trials: int, horizon: int,
     all-positive position initialisation.
 
     No convergence rate is available analytically, so this is a trend check:
-    the report carries median gap ratios at the checkpoints and the horizon.
+    the report carries only the median initial gap and the median gap ratios
+    at the checkpoints and the horizon.
     """
     f = get_objective("sphere_plus")
     res = batch.run_pbest_gap_batch(params, f, trials, horizon, master_seed, checkpoints)
     floor = np.maximum(res.initial_gap_sq, 1e-300)
     ratios = {t: float(np.median(g / floor)) for t, g in res.gap_sq_at.items()}
     return PbestNullSequenceReport(
-        trials=trials,
-        horizon=horizon,
         median_initial_gap_sq=float(np.median(res.initial_gap_sq)),
         median_ratio_at=ratios,
     )

@@ -75,6 +75,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert key in err and "3 x 1 = 3" in err and f"got {got}" in err
 
+    # before, both ran every trial censored at an infinite global-best value
+    @pytest.mark.parametrize("command", ["simulate", "fht"])
+    def test_explicit_start_without_a_nonnegative_position(self, tmp_path, capsys, command):
+        args = [command, "--preset", "noisy-sphereplus", "--override", "init=explicit",
+                "--override", "velocities=0,0,0", "--override", "trials=3",
+                "--override", "budget=30", "--seed", "1"]
+        rc = main([*args, "--override", "positions=-0.5,-0.3,-0.2",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert not (tmp_path / "o").exists()
+        assert "require_nonneg_gbest" in capsys.readouterr().err
+        assert main([*args, "--override", "positions=-0.5,0.3,-0.2",
+                     "--out", str(tmp_path / "p")]) == 0
+
     @pytest.mark.parametrize("command", ["simulate", "fht"])
     def test_explicit_start_at_nan(self, tmp_path, command):
         rc = main([command, "--preset", "prop1-bad-init", "--override", "positions=nan",
@@ -390,6 +404,25 @@ class TestSubcommands:
         assert len(velocity_lines) == 2
         assert all("(se inf," in ln for ln in velocity_lines)
         assert "nan" not in "\n".join(lines)
+
+    # every trial's sign prerequisite fails before t = 10, so no trial is
+    # retained; before, numpy warned of a mean of an empty slice
+    def test_stagnate_with_no_retained_trial_reads_nan(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["stagnate", "--preset", "thm2-example",
+                     "--override", "positions=0.1,0.2", "--override", "velocities=-5,-5",
+                     "--override", "trials=20", "--override", "steps=60",
+                     "--seed", "1", "--out", str(out)]) == 0
+        rows = (out / "d_bounds.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:4] for row in rows] == [["10", "0", "nan", "inf"],
+                                                        ["50", "0", "nan", "inf"]]
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir()}
+        assert digests == {
+            "d_bounds.csv": "6a9d63497973f7ff6bf0a04cd2099b139b90c3ae2b0e5c7896826d8cce5aac9b",
+            "manifest.txt": "d1d6856167e18af3aca9c186ed86b1889aa0753d1abf108fc566b338a60f034c",
+            "report.txt": "1e735b8850bdee00fde7742939b541dbb0263dfa1d66d473858e829a0edabb2c",
+        }
 
     def test_moments_table(self, tmp_path):
         out = tmp_path / "o"

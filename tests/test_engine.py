@@ -67,6 +67,25 @@ class TestInit:
                 with pytest.raises(ValueError, match="must be finite"):
                     engine.init_swarm_explicit(_params(m=2), sphere(), 0, X0, V0)
 
+    def test_explicit_start_without_a_nonnegative_position_rejected(self):
+        # before, the rule was read only by the random redraw, so an explicit
+        # start entirely below 0 ran on sphere_plus with an infinite global
+        # best and every trial censored
+        params = _params(m=3)
+        start = dict(init="explicit", require_nonneg_gbest=True)
+        with pytest.raises(ValueError, match="require_nonneg_gbest"):
+            batch.BatchSwarm(params, sphere_plus(), 2, 0, positions=[-0.5, -0.3, -0.2],
+                             velocities=[0.0, 0.0, 0.0], **start)
+        X0 = np.array([[[-0.5], [0.0], [-0.2]], [[-0.5], [-0.3], [-0.2]]])
+        with pytest.raises(ValueError, match="require_nonneg_gbest"):
+            batch.BatchSwarm(params, sphere_plus(), 2, 0, positions=X0,
+                             velocities=np.zeros_like(X0), **start)
+        # one nonnegative position per trial is enough
+        X0[1, 1, 0] = 0.3
+        sw = batch.BatchSwarm(params, sphere_plus(), 2, 0, positions=X0,
+                              velocities=np.zeros_like(X0), **start)
+        assert sw.fG.tolist() == [0.0, 0.3 * 0.3]
+
     def test_argmin_tie_breaks_to_lowest_index(self):
         s = _explicit([2.0, -2.0, 3.0], [0.0, 0.0, 0.0], sphere())
         # particles 0 and 1 tie at value 4; index 0 wins
@@ -546,7 +565,7 @@ def test_fixed_attractor_runs_report_the_start_at_t0():
     assert (np.abs(start[0] - center) <= 0.5).all()
     later = batch.run_fixed_attractor_ensemble(params, 0.3, -0.7, 50, 6, 4, checkpoints=(0, 3))
     assert sorted(later) == [0, 3, 6] and np.array_equal(later[0], start[0])
-    counts = batch.run_improvement_counts(params, 0.3, 50, 0, 0, 4, 1e-5)
+    counts = batch.run_improvement_counts(params, 0.3, 50, 0, 0, 4)
     assert counts.samples == counts.compound_hits == counts.y_tail_hits == 0
     assert np.allclose(counts.final_positions - 0.3, start[0] - center, rtol=0, atol=1e-15)
 

@@ -141,8 +141,7 @@ def test_fixed_attractor_ensemble_byte_identical(delta, p_best, g_best, want):
 def test_improvement_counts_byte_identical():
     params = make_params(0.4, 1.5, 1.5, 0.01, 1.0, 1e-2, 1, 1)
     counts = batch.run_improvement_counts(params, 1.0, trials=200, burn_in=50,
-                                          keep_steps=400, master_seed=13,
-                                          eps_prime=1e-5)
+                                          keep_steps=400, master_seed=13)
     assert (counts.samples, counts.compound_hits, counts.y_tail_hits) == (80000, 38605, 7830)
     assert _sha256(counts.final_positions.tobytes()) == (
         "a87f7e30a17b570a1eee9a652b8c2929d18108db1da9d8910993f5821349d3ce")
