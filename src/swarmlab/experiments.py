@@ -272,7 +272,10 @@ def counterexample_demo(params: PsoParams, trials: int, steps: int, window: int,
     best can almost surely never improve, so its position follows the
     fixed-attractor recurrence with bests (1, 0) exactly and its long-run
     variance matches the oracle fixed point instead of shrinking to zero.
+    Parameters outside the mean-square region raise ValueError before any step.
     """
+    closed_form_var = moments.variance_limit(params, 1.0, 0.0)
+    oracle_var = moments.stationary_variance(params, 1.0, 0.0)
     f = get_objective("counterexample")
     res = batch.run_counterexample_batch(params, f, trials, steps, window, master_seed)
     var_mean, var_se = _mean_and_se(res.window_var)
@@ -285,8 +288,8 @@ def counterexample_demo(params: PsoParams, trials: int, steps: int, window: int,
         gap_sq_always_one=bool(np.all(res.gap_sq_final == 1.0)),
         empirical_var_mean=float(var_mean),
         empirical_var_se=float(var_se),
-        oracle_var=moments.stationary_variance(params, 1.0, 0.0),
-        closed_form_var=moments.variance_limit(params, 1.0, 0.0),
+        oracle_var=oracle_var,
+        closed_form_var=closed_form_var,
     )
 
 
@@ -310,11 +313,13 @@ def stationary_moment_check(params: PsoParams, p_best: float, g_best: float,
     """Ensemble mean (with its se) and variance of the fixed-attractor
     recurrence at the horizon versus the closed-form variance limit and the
     exact oracle fixed point.  The mid-window variance shows whether the
-    burn-in sufficed.  The sample variances need trials >= 2, checked before
-    any chain is run.
+    burn-in sufficed.  The sample variances need trials >= 2 and the limits a
+    mean-square stable point; both are checked before any chain is run.
     """
     if trials < 2:
         raise ValueError(f"stationary moment check needs trials >= 2, got {trials}")
+    closed_form_var = moments.variance_limit(params, p_best, g_best)
+    oracle_var = moments.stationary_variance(params, p_best, g_best)
     total = burn_in + horizon
     mid = burn_in + horizon // 2
     snaps = batch.run_fixed_attractor_ensemble(
@@ -326,8 +331,8 @@ def stationary_moment_check(params: PsoParams, p_best: float, g_best: float,
         se_mean=float(se),
         empirical_var=float(x_end.var(ddof=1)),
         mid_window_var=float(snaps[mid].var(ddof=1)),
-        closed_form_var=moments.moment_limits(params, p_best, g_best).var_limit,
-        oracle_var=moments.stationary_variance(params, p_best, g_best),
+        closed_form_var=closed_form_var,
+        oracle_var=oracle_var,
     )
 
 
@@ -358,13 +363,11 @@ def improvement_probability_check(params: PsoParams, trials: int, master_seed: i
     """Empirical verification of the improvement-event constants on the
     fixed-attractor recurrence with both bests at G = 1, counted after a
     burn-in of 2000 steps, with eps' = delta/1000 as
-    `batch.run_improvement_counts` sets it.
+    `batch.run_improvement_counts` sets it; that kernel rejects delta <= 0.
     """
     f1 = float(moments.f_one(params.omega, params.phi1, params.phi2))
     if f1 <= 1.0 / 3.0:
         raise ValueError(f"improvement analysis requires f(1) > 1/3, got {f1}")
-    if params.delta <= 0:
-        raise ValueError("requires a noisy update rule (delta > 0)")
     keep = max(1, int(np.ceil(target_samples / trials)))
     counts = batch.run_improvement_counts(params, 1.0, trials, 2000, keep, master_seed)
     return ImprovementProbabilityReport(

@@ -63,6 +63,16 @@ def f_one(omega, phi1, phi2):
             + phi1 + phi2 - phi1 * phi1 / 3 - phi2 * phi2 / 3 - phi1 * phi2 / 2)
 
 
+def in_mean_square_region(omega, phi1, phi2):
+    """0 <= omega < 1, phi1 + phi2 > 0, and f(1) > 0.
+
+    The positivity of phi1 + phi2 (rather than >= 0) keeps the process
+    nondegenerate; it is also required by the mean-limit conditions.
+    """
+    s = phi1 + phi2
+    return (omega >= 0) & (omega < 1) & (s > 0) & (f_one(omega, phi1, phi2) > 0)
+
+
 def f_one_asymmetric_variant(omega, phi1, phi2):
     """Alternative printing of the stability value with an asymmetric
     omega coefficient ((1/6) phi2^2 + (1/2) phi1^2 phi2^2).
@@ -173,11 +183,12 @@ def stationary_variance(params: PsoParams, p_best: float, g_best: float) -> floa
     recurrence with bests (P - mu, G - mu) = (-phi2, phi1) (G - P)/(phi1 + phi2),
     whose mean is zero.  Taking E[X^2] - E[X]^2 from the uncentred solution
     instead cancels catastrophically when |mu| is large and the spread tiny
-    (it can even come out negative).
+    (it can even come out negative).  Outside `in_mean_square_region` the
+    fixed point does not attract (its "variance" can be negative): ValueError.
     """
+    if not in_mean_square_region(params.omega, params.phi1, params.phi2):
+        raise ValueError("not mean-square stable (0 <= omega < 1, phi1 + phi2 > 0, f(1) > 0)")
     s = params.phi1 + params.phi2
-    if s <= 0:
-        raise ValueError("stationary variance requires phi1 + phi2 > 0")
     gap = g_best - p_best
     c = stationary_moments(params, -params.phi2 * gap / s, params.phi1 * gap / s)
     return float(c[0] - c[3] * c[3])
@@ -197,17 +208,14 @@ def variance_limit(params: PsoParams, p_best: float, g_best: float) -> float:
     separate summand.  The exact fixed point of the moment map selects the
     form above (every constant entering the driving term's second moment is
     amplified by (1 + omega)/f(1)), and the moment-oracle tests pin the
-    agreement to relative 1e-9.
+    agreement to relative 1e-9.  Parameters outside the mean-square region
+    (`in_mean_square_region`) raise ValueError.
     """
     w, p1, p2 = params.omega, params.phi1, params.phi2
-    if not (0 <= w < 1):
-        raise ValueError("variance limit requires 0 <= omega < 1")
+    if not in_mean_square_region(w, p1, p2):
+        raise ValueError("not mean-square stable (0 <= omega < 1, phi1 + phi2 > 0, f(1) > 0)")
     s = p1 + p2
-    if s <= 0:
-        raise ValueError("variance limit requires phi1 + phi2 > 0")
     f1 = f_one(w, p1, p2)
-    if f1 <= 0:
-        raise ValueError(f"not mean-square stable: f(1) = {f1} <= 0")
     gap = (g_best - p_best) ** 2
     return ((p1 * p2 / s) ** 2 * gap / 6.0 + params.delta ** 2 / 12.0) * (1.0 + w) / f1
 
@@ -219,10 +227,8 @@ class MomentLimits:
 
 
 def moment_limits(params: PsoParams, p_best: float, g_best: float) -> MomentLimits:
-    """Closed-form mean/variance limits.
-
-    Where `variance_limit` rejects the parameters as not mean-square stable,
-    the variance limit is reported as inf.
+    """Closed-form mean/variance limits, the variance inf where `variance_limit`
+    raises.  Nothing in swarmlab calls this; the benchmark's tracer wraps it.
     """
     mean = equilibrium_point(params, p_best, g_best)
     try:

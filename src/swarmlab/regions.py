@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import f_one
+from .moments import f_one, in_mean_square_region
 
 __all__ = [
     "in_deterministic_region",
@@ -39,16 +39,6 @@ def in_lyapunov_region(omega, phi1, phi2):
     s = phi1 + phi2
     bound = 2.0 * (1.0 - 2.0 * np.abs(omega) + omega * omega) / (1.0 + omega)
     return (np.abs(omega) < 1) & (omega != 0) & (s < bound)
-
-
-def in_mean_square_region(omega, phi1, phi2):
-    """0 <= omega < 1, phi1 + phi2 > 0, and f(1) > 0.
-
-    The positivity of phi1 + phi2 (rather than >= 0) keeps the process
-    nondegenerate; it is also required by the mean-limit conditions.
-    """
-    s = phi1 + phi2
-    return (omega >= 0) & (omega < 1) & (s > 0) & (f_one(omega, phi1, phi2) > 0)
 
 
 def in_noisy_fht_region(omega, phi1, phi2):

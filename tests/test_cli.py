@@ -174,6 +174,18 @@ class TestExitCodes:
         assert rc == 2
         assert not (tmp_path / "o").exists()
 
+    # f(1) = -2.61: the window sums overflow, so the demo must reject the
+    # point before it simulates, not after
+    def test_demo_counterexample_rejects_unstable_point_before_simulating(self, tmp_path,
+                                                                        capsys):
+        args = ["demo", "counterexample", "--seed", "1", "--out", str(tmp_path / "o")]
+        for item in ("omega=0.9", "phi1=3", "phi2=3", "steps=2000", "window=100",
+                     "trials=10"):
+            args += ["--override", item]
+        assert main(args) == 2
+        assert not (tmp_path / "o").exists()
+        assert "not mean-square stable" in capsys.readouterr().err
+
     # a NaN passes an ordering check such as delta < 0; before, these ran
     # and reported results (fht: every trial a hit at delta = nan), and so
     # did an explicit start at an infinite position or a NaN velocity (every

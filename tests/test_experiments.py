@@ -164,7 +164,23 @@ class TestStagnationDemo:
         assert reps[0].min_position == reps[1].min_position
 
 
+# f(1) = -2.61 and -0.33: outside the mean-square region, where the chains
+# overflow and the moment fixed point's "variance" is negative
+UNSTABLE = [(0.9, 3.0), (0.5, 2.2)]
+
+
 class TestCounterexampleDemo:
+    @pytest.mark.parametrize("omega, phi", UNSTABLE)
+    def test_unstable_point_rejected_before_running(self, monkeypatch, omega, phi):
+        calls = []
+        monkeypatch.setattr(experiments.batch, "run_counterexample_batch",
+                            lambda *args, **kwargs: calls.append(args))
+        params = make_params(omega, phi, phi, 0.0, 1.0, 1e-2, 2, 1)
+        with pytest.raises(ValueError, match="not mean-square stable"):
+            experiments.counterexample_demo(params, trials=10, steps=2000, window=100,
+                                            master_seed=1)
+        assert calls == []
+
     def test_quick_run(self):
         params = make_params(0.4, 1.5, 1.5, 0.0, 1.0, 1e-2, 2, 1)
         rep = experiments.counterexample_demo(params, trials=20, steps=30_000,
@@ -215,6 +231,17 @@ class TestStationaryMomentCheck:
                 experiments.stationary_moment_check(p, 0.0, 1.0, trials=trials,
                                                     burn_in=10, horizon=10, master_seed=1)
 
+    @pytest.mark.parametrize("omega, phi", UNSTABLE)
+    def test_unstable_point_rejected_before_running(self, monkeypatch, omega, phi):
+        calls = []
+        monkeypatch.setattr(experiments.batch, "run_fixed_attractor_ensemble",
+                            lambda *args, **kwargs: calls.append(args))
+        p = _noisy_params(omega=omega, phi1=phi, phi2=phi, delta=0.1, m=1)
+        with pytest.raises(ValueError, match="not mean-square stable"):
+            experiments.stationary_moment_check(p, 1.0, 0.0, trials=10, burn_in=10,
+                                                horizon=10, master_seed=1)
+        assert calls == []
+
 
 class TestImprovementProbability:
     def test_constants(self):
@@ -235,6 +262,15 @@ class TestImprovementProbability:
         with pytest.raises(ValueError):
             experiments.improvement_probability_check(
                 _noisy_params(delta=0.0, m=1), trials=10, master_seed=1)
+
+    def test_noiseless_rule_rejected_by_the_kernel_before_any_chain(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments.batch, "_attractor_chain",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=r"improvement counting requires delta > 0"):
+            experiments.improvement_probability_check(
+                make_params(0.4, 1.5, 1.5, 0.0, 1, 0.01, 1, 1), trials=10, master_seed=1)
+        assert calls == []
 
 
 class TestPbestNullSequence:

@@ -189,6 +189,24 @@ class TestVarianceLimit:
         with pytest.raises(ValueError):
             moments.variance_limit(_params(omega=0.99, phi1=2.0, phi2=2.0), 0.0, 1.0)
 
+    # f(1) = -2.61 and -0.33; the unchecked fixed point gave a "variance" of
+    # -0.273 and -0.917 here with bests (1, 0)
+    @pytest.mark.parametrize("omega, phi", [(0.9, 3.0), (0.5, 2.2)])
+    def test_unstable_point_has_no_stationary_variance(self, omega, phi):
+        p = _params(omega=omega, phi1=phi, phi2=phi)
+        assert moments.f_one(omega, phi, phi) < 0
+        with pytest.raises(ValueError, match="not mean-square stable"):
+            moments.stationary_variance(p, 1.0, 0.0)
+
+    def test_f_one_exactly_zero_is_outside(self):
+        # 3 - 3^2/3 is exactly 0.0 in doubles: the boundary itself
+        assert moments.f_one(0.0, 3.0, 0.0) == 0.0
+        assert not moments.in_mean_square_region(0.0, 3.0, 0.0)
+        p = _params(omega=0.0, phi1=3.0, phi2=0.0)
+        for limit in (moments.variance_limit, moments.stationary_variance):
+            with pytest.raises(ValueError, match="not mean-square stable"):
+                limit(p, 1.0, 0.0)
+
     @given(st.floats(0.0, 0.9), st.floats(0.05, 2.0), st.floats(0.05, 2.0),
            st.floats(0.0, 0.5), st.floats(-2, 2), st.floats(-2, 2))
     @settings(max_examples=80, deadline=None)

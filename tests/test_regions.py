@@ -32,6 +32,9 @@ class TestLyapunovRegion:
 
 
 class TestMeanSquareRegion:
+    def test_one_definition_in_moments(self):
+        assert regions.in_mean_square_region is moments.in_mean_square_region
+
     def test_reference_inside(self):
         assert regions.in_mean_square_region(0.4, 1.5, 1.5)
 

@@ -148,6 +148,12 @@ class TestBounds:
             for w in (0.01, 0.03, 0.05, 0.07)]
         assert values == sorted(values)
 
+    def test_velocity_sum_bound_uses_the_distance_magnitude(self):
+        params = make_params(0.07, 0.0, 1.5, 0, 200, 0.5, 2, 1)
+        ahead = stagnation.velocity_sum_bound(params, TwoParticleInit(184.0, 185.0, -1.0, -1.0))
+        behind = stagnation.velocity_sum_bound(params, TwoParticleInit(185.0, 184.0, -1.0, -1.0))
+        assert behind == ahead
+
     def test_velocity_sum_bound_divergent_kappa_rejected(self):
         params = make_params(0.9, 0.0, 1.9, 0, 1, 0.5, 2, 1)  # kappa > 1
         with pytest.raises(ValueError):
@@ -178,6 +184,29 @@ class TestTwoParticleVerdict:
         v = stagnation.check_two_particle_stagnation(
             params, TwoParticleInit(600.0, 601.0, -1.0, -1.0))
         assert not v.conditions_met["phi2_in_1_2"]
+
+    # the starts below put one hypothesis exactly on its boundary
+    @pytest.mark.parametrize("phi2", [1.0, 2.0])
+    def test_phi2_range_is_open(self, phi2):
+        params = make_params(0.07, 0.0, phi2, 0, 700, 0.5, 2, 1)
+        v = stagnation.check_two_particle_stagnation(
+            params, TwoParticleInit(600.0, 601.0, -1.0, -1.0))
+        assert not v.conditions_met["phi2_in_1_2"]
+
+    @pytest.mark.parametrize("v1, v2", [(0.0, -1.0), (-1.0, 0.0)])
+    def test_zero_velocity_is_nonpositive(self, v1, v2):
+        params = make_params(0.07, 0.0, 1.5, 0, 700, 0.5, 2, 1)
+        v = stagnation.check_two_particle_stagnation(params, TwoParticleInit(600.0, 601.0, v1, v2))
+        assert v.conditions_met["velocities_nonpositive"]
+
+    def test_position_on_the_threshold_is_not_above_it(self):
+        params = make_params(0.07, 0.0, 1.5, 0, 700, 0.5, 2, 1)
+        thr = stagnation.position_threshold(params, TwoParticleInit(0.0, 1.0, -1.0, -1.0))
+        init = TwoParticleInit(thr, thr + 1.0, -1.0, -1.0)
+        assert init.d0 == 1.0
+        v = stagnation.check_two_particle_stagnation(params, init)
+        assert v.position_threshold == init.x1
+        assert not v.conditions_met["positions_above_threshold"]
 
     def test_all_met_implies_kappa_below_one(self):
         params = make_params(0.07, 0.0, 1.5, 0, 700, 0.5, 2, 1)
@@ -290,3 +319,18 @@ class TestTwoParticleDemoBookkeeping:
         assert 0 < sum(entered) < trials
         assert all(valid_at[0]) and not any(valid_at[steps])
         assert any(0 < sum(valid_at[t]) < trials for t in times)
+
+    # a swarm at rest with both particles on one point never moves under the
+    # noise-free rule, so these starts stay on a boundary at every step
+    def test_particle_at_zero_keeps_the_sign_prerequisite(self):
+        params = make_params(0.6, 0.0, 1.5, 0.0, 200.0, 5e-6, 2, 1)
+        res = batch.run_two_particle_demo(params, sphere(), (0.0, 0.0), (0.0, 0.0), 2, 10, 1)
+        assert res.min_position.tolist() == [0.0, 0.0]
+        assert all(res.valid_at[10])
+
+    def test_particle_on_the_ball_surface_has_entered(self):
+        params = make_params(0.6, 0.0, 1.5, 0.0, 200.0, 5e-6, 2, 1)
+        x = params.epsilon
+        res = batch.run_two_particle_demo(params, sphere(), (x, x), (0.0, 0.0), 2, 10, 1)
+        assert res.min_position.tolist() == [x, x]
+        assert all(res.entered_ball)
