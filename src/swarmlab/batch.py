@@ -24,6 +24,14 @@ The first-hitting-time loop, `step_until_hit`, runs under `run_fht_batch`
 and `engine.run_until_hit`; draws are addressed by their coordinates, so it
 drops trials that hit (`BatchSwarm.keep`) without changing what the rest draw.
 
+The noise-free rule can bring a trial to a fixed point that is exact in
+floating point: every velocity zero and every attraction target equal to the
+position, so each later step recomputes the same bits.  Every `_FREEZE_EVERY`
+steps `step_until_hit` and `run_two_particle_demo` check for such trials
+(`_frozen`): the hitting-time loop drops them as censored, and stops stepping
+once every trial left is frozen; the demo stops once every trial is.  Their
+outputs, and every sweep an observer sees, are those of stepping to the end.
+
 At narrow shapes (about 100 trials) a step costs its numpy calls, not its
 arithmetic, so the calls per step are few without moving a bit: each draw
 block is scaled by phi1 and phi2 once; a step in which no personal best
@@ -78,6 +86,8 @@ _MAX_INIT_ATTEMPTS = 10_000
 # Draws hashed per call: a narrow swarm hashes several future steps at once (a
 # counter-based draw does not depend on when it is hashed), a wide one a step.
 _BLOCK_ELEMENTS = 2 ** 14
+# Steps between the checks for trials frozen at a fixed point (`_frozen`).
+_FREEZE_EVERY = 64
 
 
 def _global_best(P, fP):
@@ -257,6 +267,60 @@ class BatchSwarm:
         return values
 
 
+def _held_for_check(swarm: BatchSwarm):
+    """The (X, V) that `_frozen` compares after the coming step, or None.
+
+    They are held only when that step ends on a freeze check (every
+    `_FREEZE_EVERY` steps) and some velocity is already exactly zero, as a
+    frozen trial's is before its last step.  `step` binds new arrays, so
+    holding copies nothing."""
+    if (swarm.t + 1) % _FREEZE_EVERY or swarm.V.all():
+        return None
+    return swarm.X, swarm.V
+
+
+def _frozen(swarm: BatchSwarm, X_prev, V_prev) -> np.ndarray:
+    """(trials,) mask of the trials whose last step, from X_prev and V_prev,
+    changed nothing, and whose every later step changes nothing either.
+
+    Such a trial has no noise term, no personal best that improved on that
+    step, X and V with the bits they had before it, every velocity exactly
+    zero, and each attraction term with a zero weight or a target equal to X.
+    Every term of its next velocity is then a zero whose sign depends on the
+    state alone (R and S lie in [0, 1), and a zero weight's factor is the
+    weight), so its next state is this one, bit for bit, and so on.  Bits are
+    compared through uint64 views, which tell signed zeros apart.  A
+    non-finite state never qualifies: a velocity computed from an infinite
+    difference is NaN, not zero.
+    """
+    if swarm._base_d is not None:
+        return np.zeros(swarm.trials, dtype=bool)
+    X, V = swarm.X, swarm.V
+    same = ((X.view(np.uint64) == X_prev.view(np.uint64))
+            & (V.view(np.uint64) == V_prev.view(np.uint64)) & (V == 0))
+    if swarm._base_r is not None:
+        same &= swarm.P == X
+    if swarm._base_s is not None:
+        same &= swarm.G[None] == X
+    return same.all(axis=(0, 2)) & ~swarm.improved.any(axis=0)
+
+
+def _run_out_the_clock(swarm: BatchSwarm, budget: int, observe) -> None:
+    """Advance t and eval_count of a swarm whose every trial is frozen to the
+    last sweep within the budget, without stepping: a step would leave the
+    state as it is.  `observe(swarm)` still runs after every sweep."""
+    m = swarm.params.m
+    sweeps = (budget - swarm.eval_count) // m
+    if observe is None:
+        swarm.t += sweeps
+        swarm.eval_count += sweeps * m
+        return
+    for _ in range(sweeps):
+        swarm.t += 1
+        swarm.eval_count += m
+        observe(swarm)
+
+
 @dataclass(frozen=True)
 class FhtBatchResult:
     hit_evals: np.ndarray          # (trials,) int64; -1 when censored
@@ -271,9 +335,13 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *, observe=None) -> FhtBatchR
     No value lies below the optimum value (see `ObjectiveFn`), so a hit shows
     in `fG`, tested only when `step` has made a new one.  Trials that hit leave
     the batch (`keep`), except the last, so the swarm ends in its hit state.
-    `observe(swarm)` runs after each step.  A trial's final global-best value
-    is the least value it evaluated; on the sphere that is the least squared
-    norm of every position it visited.
+    A trial frozen at a fixed point (`_frozen`, checked every `_FREEZE_EVERY`
+    steps) can never hit, so it leaves as censored with its final value; once
+    every trial left is frozen, the remaining sweeps advance `t` and
+    `eval_count` without stepping, and the swarm ends as stepping would leave
+    it.  `observe(swarm)` runs after each sweep, stepped or not.  A trial's
+    final global-best value is the least value it evaluated; on the sphere
+    that is the least squared norm of every position it visited.
     """
     m = swarm.params.m
     if budget < m:
@@ -282,8 +350,9 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *, observe=None) -> FhtBatchR
     live = np.arange(swarm.trials)   # batch row -> trial id
     hit_evals = np.full(live.size, -1, dtype=np.int64)
     final_g = np.empty(live.size)
-    tested = None
+    tested = held = None
     while True:
+        leave, idle = None, False
         if swarm.fG is not tested:
             tested = swarm.fG
             hit = tested - opt < eps
@@ -293,12 +362,26 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *, observe=None) -> FhtBatchR
                 final_g[done] = tested[hit]
                 if done.size == live.size:
                     break
-                rows = np.flatnonzero(~hit)
-                live = live[rows]
-                swarm.keep(rows)
+                leave = hit
+        if held is not None:
+            # a frozen trial did not improve on its last step, so it is no hit
+            frozen = _frozen(swarm, *held)
+            if np.count_nonzero(frozen):
+                moving = ~frozen if leave is None else ~(frozen | leave)
+                idle = not np.count_nonzero(moving)
+                if not idle:   # else the frozen rows stay to the budget
+                    final_g[live[frozen]] = swarm.fG[frozen]
+                    leave = ~moving
+        if leave is not None:
+            rows = np.flatnonzero(~leave)
+            live = live[rows]
+            swarm.keep(rows)
+        if idle:
+            _run_out_the_clock(swarm, budget, observe)
         if swarm.eval_count + m > budget:
             final_g[live] = swarm.fG
             break
+        held = _held_for_check(swarm)
         swarm.step()
         if observe is not None:
             observe(swarm)
@@ -332,7 +415,10 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
     stagnation bounds speak about: entries into the target ball |x| <=
     params.epsilon, absolute velocity sums, and the inter-particle distance
     at the steps `D_SAMPLE_TIMES` (with the sign prerequisites monitored so
-    bound comparisons can condition on them).
+    bound comparisons can condition on them).  Once every trial is frozen at
+    a fixed point (`_frozen`), each later step would add +0.0 to every |V| sum
+    and repeat every other statistic, so the run stops there and the sample
+    times still to come get the current |D| and prerequisites.
     """
     if params.m != 2 or params.n != 1:
         raise ValueError("two-particle demo requires m=2, n=1")
@@ -348,8 +434,10 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
     min_pos = np.full(trials, np.inf)
     d_abs_at = {}
     valid_at = {}
+    held = None
     for t in range(steps + 1):
         if t > 0:
+            held = _held_for_check(swarm)
             swarm.step()
         # elementwise on each particle's row: a reduction over the length-2
         # particle axis costs several times as much at 10^4 trials
@@ -365,6 +453,13 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
         if t in D_SAMPLE_TIMES:
             d_abs_at[t] = np.abs(xb - xa)
             valid_at[t] = valid.copy()
+        if held is not None and _frozen(swarm, *held).all():
+            # every later step adds +0.0 to each |V| sum and repeats the rest
+            for later in D_SAMPLE_TIMES:
+                if t < later <= steps:
+                    d_abs_at[later] = np.abs(xb - xa)
+                    valid_at[later] = valid.copy()
+            break
     return TwoParticleBatchResult(entered_ball=entered,
                                   sum_abs_v=np.ascontiguousarray(sum_abs_v.T),
                                   d_abs_at=d_abs_at, valid_at=valid_at,

@@ -164,9 +164,13 @@ def iterate_moments(M: np.ndarray, init: np.ndarray, T: int) -> np.ndarray:
 def stationary_moments(params: PsoParams, p_best: float, g_best: float) -> np.ndarray:
     """Fixed point of the moment map, solved directly on the affine part.
 
-    Returns the full 6-vector (last component 1).  Raises if the homogeneous
-    part has an eigenvalue at 1 (parameters on the stability boundary).
+    Returns the full 6-vector (last component 1).  Outside
+    `in_mean_square_region` the fixed point does not attract (its second
+    moment can be negative): ValueError.  Also raises if the homogeneous part
+    has an eigenvalue at 1.
     """
+    if not in_mean_square_region(params.omega, params.phi1, params.phi2):
+        raise ValueError("not mean-square stable (0 <= omega < 1, phi1 + phi2 > 0, f(1) > 0)")
     M = moment_transition(params, p_best, g_best)
     A = np.eye(5) - M[:5, :5]
     try:
@@ -183,14 +187,14 @@ def stationary_variance(params: PsoParams, p_best: float, g_best: float) -> floa
     recurrence with bests (P - mu, G - mu) = (-phi2, phi1) (G - P)/(phi1 + phi2),
     whose mean is zero.  Taking E[X^2] - E[X]^2 from the uncentred solution
     instead cancels catastrophically when |mu| is large and the spread tiny
-    (it can even come out negative).  Outside `in_mean_square_region` the
-    fixed point does not attract (its "variance" can be negative): ValueError.
+    (it can even come out negative).  Outside `in_mean_square_region`,
+    `stationary_moments` raises ValueError.
     """
-    if not in_mean_square_region(params.omega, params.phi1, params.phi2):
-        raise ValueError("not mean-square stable (0 <= omega < 1, phi1 + phi2 > 0, f(1) > 0)")
     s = params.phi1 + params.phi2
     gap = g_best - p_best
-    c = stationary_moments(params, -params.phi2 * gap / s, params.phi1 * gap / s)
+    # s > 0 wherever stationary_moments answers; elsewhere it raises
+    centred = (-params.phi2 * gap / s, params.phi1 * gap / s) if s > 0 else (p_best, g_best)
+    c = stationary_moments(params, *centred)
     return float(c[0] - c[3] * c[3])
 
 

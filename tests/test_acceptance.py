@@ -1,10 +1,14 @@
 """Acceptance suite: every criterion at its stated scale and tolerance, one
 printed pass/fail line per criterion.
 
-The full module takes about 70 s on a shared 2-core machine.  The largest
-part is criterion 4, the two-particle demo at 10^4 trials x 10^5 steps: 31-36 s
-there, against its 300 s gate.  Run with `pytest tests/test_acceptance.py
--v -s` to see the per-criterion lines as they complete.
+The full module takes about 25-30 s on a shared 2-core machine, most of it
+criteria 5 (the counterexample, 100 trials x 10^6 steps) and 6 (the
+noise-floor ensemble).  Criterion 4, the two-particle demo at 10^4 trials x
+10^5 steps, takes about 0.1 s against its 300 s gate, and criterion 3 about
+as long: their trials reach an exact fixed point within a few hundred and
+1072 steps, where the runners stop stepping them.  Run with `pytest
+tests/test_acceptance.py -v -s` to see the per-criterion lines as they
+complete.
 """
 
 import time

@@ -7,6 +7,9 @@ from swarmlab.batch import BatchSwarm
 from swarmlab.cli import main
 from swarmlab.core import make_params, sphere_plus
 
+import scalar_reference
+from benchmark_modules import reference
+
 
 def _read(path):
     return path.read_bytes()
@@ -394,6 +397,55 @@ class TestSubcommands:
         row = (tmp_path / "f" / "fht.csv").read_text().splitlines()[1].split(",")
         assert row[0] == "0"
         assert [manifest["outcome"], manifest["evals"], manifest["final_g_value"]] == row[1:]
+
+    def test_simulate_default_stride_at_the_preset_budget(self, tmp_path):
+        # budget 10^6 and m = 1 give the stride budget // (1000 m) = 1000; the
+        # particle's state repeats from step 1072, which keeps this run short
+        out = tmp_path / "o"
+        assert main(["simulate", "--preset", "prop1-bad-init", "--seed", "1",
+                     "--out", str(out)]) == 0
+        manifest = dict(line.split(" = ", 1) for line in
+                        (out / "manifest.txt").read_text().splitlines())
+        assert manifest["stride"] == "1000"
+        assert (manifest["outcome"], manifest["evals"]) == ("censored", "1000000")
+        rows = [line.split(",") for line in
+                (out / "trajectory.csv").read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(0, 1_000_000, 1000))
+        x0, v0, omega = 0.9, -0.05, 0.5
+        for r in rows:
+            t, (x, v, p, g, fg) = int(r[0]), map(float, r[3:])
+            # every move improves, so both bests track the particle: a pure drift
+            drift = reference.drift_position(x0, v0, omega, t)
+            assert abs(x - drift) <= 1e-12 * abs(drift)
+            assert abs(v - v0 * omega ** t) <= 1e-12 * abs(v0 * omega ** t) + 1e-300
+            assert (p, g, fg) == (x, x, x * x)
+
+    # a particle at rest at (-0.0, 1.0): its first step turns x_0 into +0.0;
+    # with omega < 0 the zero velocity then changes sign on every step, so the
+    # state never repeats, and with omega > 0 it repeats from step 1
+    @pytest.mark.parametrize("omega", ["-0.5", "0.5"])
+    def test_simulate_from_a_negative_zero_matches_the_scalar_replay(self, tmp_path, omega):
+        out = tmp_path / "o"
+        budget, seed = 300, 1
+        assert main(["simulate", "--seed", str(seed), "--override", f"omega={omega}",
+                     "--override", "phi1=1.5", "--override", "phi2=1.5",
+                     "--override", "epsilon=0.01", "--override", "m=1", "--override", "n=2",
+                     "--override", "init=explicit", "--override", "positions=-0.0,1.0",
+                     "--override", "velocities=0,0", "--override", f"budget={budget}",
+                     "--override", "stride=1", "--out", str(out)]) == 0
+        params = make_params(float(omega), 1.5, 1.5, 0.0, 1.0, 0.01, 1, 2)
+        draw = scalar_reference.trial_draws(seed, 0)
+        s = scalar_reference.ref_explicit(scalar_reference.sphere, [[-0.0, 1.0]], [[0.0, 0.0]])
+        want = ["t,particle,dim,x,v,p,g,f_g"]
+        while True:
+            want += [",".join([f"{s.t},0,{j}"] + [repr(float(a)) for a in (
+                s.positions[0, j], s.velocities[0, j], s.pbest_positions[0, j],
+                s.gbest_position[j], s.gbest_value)]) for j in range(2)]
+            if s.t + 2 > budget:
+                break
+            s = scalar_reference.ref_step(s, params, scalar_reference.sphere, draw)
+        assert (out / "trajectory.csv").read_text().splitlines() == want
+        assert "-0.0" in want[1] and want[3].startswith("1,0,0,0.0,0.0,")
 
     def test_stagnate_report(self, tmp_path):
         out = tmp_path / "o"

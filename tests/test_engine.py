@@ -463,6 +463,126 @@ class TestStepUntilHit:
         assert np.array_equal(swarm.fG, res.final_gbest_value[last])
 
 
+def _stepped_to_the_budget(params, f, trials, budget, seed):
+    """Hit evals and final global-best values by plain `BatchSwarm.step` calls,
+    every trial stepped every sweep to the budget; also the swarm."""
+    sw = batch.BatchSwarm(params, f, trials, seed)
+    hit_evals = np.full(trials, -1, dtype=np.int64)
+    final_g = np.empty(trials)
+    while True:
+        new = (hit_evals < 0) & (sw.fG - f.optimum_value < params.epsilon)
+        hit_evals[new] = sw.eval_count
+        final_g[new] = sw.fG[new]
+        if sw.eval_count + params.m > budget:
+            break
+        sw.step()
+    final_g[hit_evals < 0] = sw.fG[hit_evals < 0]
+    return hit_evals, final_g, sw
+
+
+def _at_rest(params, X0, trials=4):
+    """A swarm started at rest on the (m, n) positions X0, with its last step
+    taken to have improved no personal best."""
+    sw = batch.BatchSwarm(params, sphere(), trials, 3, init="explicit",
+                          positions=X0, velocities=np.zeros_like(X0))
+    sw.improved = np.zeros((params.m, trials), dtype=bool)
+    return sw
+
+
+class TestFreezeExit:
+    """A trial whose state the noise-free rule can no longer change leaves the
+    hitting-time loop as censored, and a demo whose every trial is frozen
+    stops; both must give what stepping to the end gives."""
+
+    def test_fht_batch_matches_plain_stepping(self, monkeypatch):
+        # m = 2, omega 0.4: some trials hit (x * x below 1e-300), some come to
+        # rest with both particles on one point, and the rest still move
+        params = _params(omega=0.4, m=2, epsilon=1e-300)
+        trials, budget, seed = 40, 2000, 11
+        frozen = []
+        check = batch._frozen
+        monkeypatch.setattr(batch, "_frozen",
+                            lambda *a: frozen.append(int(check(*a).sum())) or check(*a))
+        res = batch.run_fht_batch(params, sphere(), trials, budget, seed)
+        hit_evals, final_g, sw = _stepped_to_the_budget(params, sphere(), trials, budget, seed)
+        assert res.hit_evals.tolist() == hit_evals.tolist()
+        assert np.array_equal(res.final_gbest_value.view(np.uint64), final_g.view(np.uint64))
+        at_rest = (sw.V == 0).all(axis=(0, 2))
+        assert (hit_evals > 2).any()
+        assert ((hit_evals < 0) & at_rest).any() and ((hit_evals < 0) & ~at_rest).any()
+        assert sum(frozen) > 0
+
+    @pytest.mark.parametrize("budget", [1000, 1088, 1089, 3000])
+    def test_frozen_one_trial_run_ends_as_stepping_ends(self, budget):
+        # the prop1-bad-init particle repeats its state bit for bit from step
+        # 1072; the first check after that is at step 1088
+        runs = [_explicit([0.9], [-0.05], sphere(), seed=1, omega=0.5, epsilon=0.5)
+                for _ in range(2)]
+        r = engine.run_until_hit(runs[0], budget, trace_stride=1)
+        plain = runs[1]
+        rows = engine.trajectory_rows(plain)
+        while plain.eval_count + 1 <= budget:
+            plain.step()
+            rows += engine.trajectory_rows(plain)
+        assert not r.hit and r.final_gbest_value == plain.fG[0]
+        assert np.array_equal(np.array(r.trace).view(np.uint64),
+                              np.array(rows).view(np.uint64))
+        a, b = runs
+        assert (a.t, a.eval_count) == (b.t, b.eval_count) == (budget - 1, budget)
+        for name in ("X", "V", "P", "fP", "G", "fG", "improved"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        a.step()
+        b.step()
+        assert np.array_equal(a.X.view(np.uint64), b.X.view(np.uint64))
+
+    def test_a_swarm_at_rest_on_one_point_is_frozen(self):
+        sw = _at_rest(_params(m=2), np.array([[2.0], [2.0]]))
+        X, V = sw.X, sw.V
+        assert batch._frozen(sw, X, V).all()
+        sw.step()
+        assert np.array_equal(sw.X.view(np.uint64), X.view(np.uint64))
+        assert np.array_equal(sw.V.view(np.uint64), V.view(np.uint64))
+
+    # each start is at rest, with a last step taken to have changed nothing;
+    # the next step moves it all the same
+    @pytest.mark.parametrize("kw, X0, P0", [
+        (dict(delta=0.01), [[2.0], [2.0]], None),              # the noise term
+        (dict(phi2=0.0), [[2.0], [2.0]], [[1.0], [1.0]]),     # phi1 > 0, P != X
+        (dict(phi1=0.0), [[1.0], [2.0]], None),               # phi2 > 0, G != X
+    ], ids=["noise", "P-not-X", "G-not-X"])
+    def test_a_state_the_next_step_moves_is_not_frozen(self, kw, X0, P0):
+        params = _params(m=2, **kw)
+        sw = _at_rest(params, np.array(X0))
+        if P0 is not None:
+            sw.P = np.broadcast_to(np.array(P0)[:, None], sw.X.shape).copy()
+            sw.fP = sphere().batch_evaluate(sw.P)
+            sw.G, sw.fG = batch._global_best(sw.P, sw.fP)
+        X, V = sw.X, sw.V
+        assert not batch._frozen(sw, X, V).any()
+        sw.step()
+        assert not np.array_equal(sw.X, X)
+
+    def test_a_zero_that_changed_sign_is_a_change(self):
+        # a particle at rest at (-0.0, 1.0): its first step turns x_0 into
+        # +0.0, and only then does its state repeat
+        params = _params(omega=0.5, m=1, n=2)
+        sw = _at_rest(params, np.array([[-0.0, 1.0]]))
+        held = sw.X, sw.V
+        sw.step()
+        assert np.signbit(held[0][0, :, 0]).all() and not np.signbit(sw.X[0, :, 0]).any()
+        assert not batch._frozen(sw, *held).any()
+        held = sw.X, sw.V
+        sw.step()
+        assert batch._frozen(sw, *held).all()
+
+    def test_noisy_runs_are_never_checked(self, monkeypatch):
+        # delta > 0: no velocity is ever exactly zero, so no state is held
+        params = _params(m=2, delta=0.01, epsilon=1e-300)
+        monkeypatch.setattr(batch, "_frozen", lambda *a: pytest.fail("checked"))
+        res = batch.run_fht_batch(params, sphere(), 20, 1000, 5)
+        assert (res.hit_evals < 0).all()
+
+
 # (the kernel's objective, its scalar reference)
 SPHERE = (sphere(), ref.sphere)
 

@@ -198,6 +198,20 @@ class TestVarianceLimit:
         with pytest.raises(ValueError, match="not mean-square stable"):
             moments.stationary_variance(p, 1.0, 0.0)
 
+    # the unchecked fixed point gave E[X^2] = -0.023 and -0.667 here
+    @pytest.mark.parametrize("omega, phi", [(0.9, 3.0), (0.5, 2.2)])
+    def test_unstable_point_has_no_stationary_moments(self, omega, phi):
+        p = _params(omega=omega, phi1=phi, phi2=phi)
+        with pytest.raises(ValueError, match="not mean-square stable"):
+            moments.stationary_moments(p, 1.0, 0.0)
+
+    def test_zero_weights_have_no_stationary_variance(self):
+        # phi1 + phi2 = 0 is outside the region; the centred bests divide by it
+        p = _params(phi1=0.0, phi2=0.0)
+        for oracle in (moments.stationary_moments, moments.stationary_variance):
+            with pytest.raises(ValueError, match="not mean-square stable"):
+                oracle(p, 1.0, 0.0)
+
     def test_f_one_exactly_zero_is_outside(self):
         # 3 - 3^2/3 is exactly 0.0 in doubles: the boundary itself
         assert moments.f_one(0.0, 3.0, 0.0) == 0.0

@@ -275,6 +275,44 @@ class TestOneParticleTrajectory:
         assert stagnation.one_particle_limit(0.8, -0.5, 0.5) < 0.5
 
 
+def _check_against_per_step_recomputation(params, x0, v0, trials, steps, seed, times):
+    """Runs the demo and recomputes every field from a swarm stepped to the end
+    with plain `BatchSwarm.step` calls, one trial at a time in Python floats;
+    returns the recomputed (entered, valid_at)."""
+    res = batch.run_two_particle_demo(params, sphere(), x0, v0, trials, steps, seed)
+    sw = batch.BatchSwarm(params, sphere(), trials, seed, init="explicit",
+                          positions=x0, velocities=v0)
+    radius = params.epsilon
+    entered = [False] * trials
+    sum_abs_v = [[0.0, 0.0] for _ in range(trials)]
+    valid = [True] * trials
+    min_pos = [float("inf")] * trials
+    d_abs_at, valid_at = {}, {}
+    for t in range(steps + 1):
+        if t > 0:
+            sw.step()
+        X, V = sw.X[:, :, 0].T.tolist(), sw.V[:, :, 0].T.tolist()
+        for k, ((a, b), (va, vb)) in enumerate(zip(X, V)):
+            entered[k] = entered[k] or abs(a) <= radius or abs(b) <= radius
+            sum_abs_v[k][0] += abs(va)
+            sum_abs_v[k][1] += abs(vb)
+            valid[k] = valid[k] and a >= 0 and b >= 0 and va <= 0 and vb <= 0
+            min_pos[k] = min(min_pos[k], a, b)
+        if t in times:
+            d_abs_at[t] = [abs(b - a) for a, b in X]
+            valid_at[t] = list(valid)
+    assert res.entered_ball.tolist() == entered
+    assert res.sum_abs_v.tolist() == sum_abs_v
+    # C order: numpy's sum over trials in `experiments` follows memory order
+    assert res.sum_abs_v.flags.c_contiguous
+    assert res.min_position.tolist() == min_pos
+    assert list(res.d_abs_at) == list(res.valid_at) == [t for t in times if t <= steps]
+    for t in res.d_abs_at:
+        assert res.d_abs_at[t].tolist() == d_abs_at[t]
+        assert res.valid_at[t].tolist() == valid_at[t]
+    return entered, valid_at
+
+
 class TestTwoParticleDemoBookkeeping:
     def test_every_field_matches_a_per_step_recomputation(self, monkeypatch):
         # with a little noise, each of the four sign prerequisites is the first
@@ -283,42 +321,29 @@ class TestTwoParticleDemoBookkeeping:
         # of radius epsilon
         params = make_params(0.6, 0.0, 1.5, 0.002, 200.0, 5e-6, 2, 1)
         x0, v0 = (2.0, 3.0), (-0.1, -0.3)
-        trials, steps, seed, radius = 64, 220, 11, params.epsilon
+        trials, steps, seed = 64, 220, 11
         times = tuple(range(0, steps + 1, 5))
         monkeypatch.setattr(batch, "D_SAMPLE_TIMES", times)
-        res = batch.run_two_particle_demo(params, sphere(), x0, v0, trials, steps, seed)
-        sw = batch.BatchSwarm(params, sphere(), trials, seed, init="explicit",
-                              positions=x0, velocities=v0)
-        entered = [False] * trials
-        sum_abs_v = [[0.0, 0.0] for _ in range(trials)]
-        valid = [True] * trials
-        min_pos = [float("inf")] * trials
-        d_abs_at, valid_at = {}, {}
-        for t in range(steps + 1):
-            if t > 0:
-                sw.step()
-            X, V = sw.X[:, :, 0].T.tolist(), sw.V[:, :, 0].T.tolist()
-            for k, ((a, b), (va, vb)) in enumerate(zip(X, V)):
-                entered[k] = entered[k] or abs(a) <= radius or abs(b) <= radius
-                sum_abs_v[k][0] += abs(va)
-                sum_abs_v[k][1] += abs(vb)
-                valid[k] = valid[k] and a >= 0 and b >= 0 and va <= 0 and vb <= 0
-                min_pos[k] = min(min_pos[k], a, b)
-            if t in times:
-                d_abs_at[t] = [abs(b - a) for a, b in X]
-                valid_at[t] = list(valid)
-        assert res.entered_ball.tolist() == entered
-        assert res.sum_abs_v.tolist() == sum_abs_v
-        # C order: numpy's sum over trials in `experiments` follows memory order
-        assert res.sum_abs_v.flags.c_contiguous
-        assert res.min_position.tolist() == min_pos
-        assert sorted(res.d_abs_at) == sorted(res.valid_at) == list(times)
-        for t in times:
-            assert res.d_abs_at[t].tolist() == d_abs_at[t]
-            assert res.valid_at[t].tolist() == valid_at[t]
+        entered, valid_at = _check_against_per_step_recomputation(
+            params, x0, v0, trials, steps, seed, times)
         assert 0 < sum(entered) < trials
         assert all(valid_at[0]) and not any(valid_at[steps])
         assert any(0 < sum(valid_at[t]) < trials for t in times)
+
+    # both particles at rest on one point: every trial is frozen from step 1,
+    # so the demo stops at its first check, step 64, before sample time 200
+    @pytest.mark.parametrize("steps", [200, 250])
+    def test_a_demo_that_freezes_matches_a_per_step_recomputation(self, monkeypatch, steps):
+        params = make_params(0.4, 1.5, 1.5, 0.0, 200.0, 0.5, 2, 1)
+        stepped = []
+        step = batch.BatchSwarm.step
+        monkeypatch.setattr(batch.BatchSwarm, "step",
+                            lambda sw: stepped.append(sw.t) or step(sw))
+        entered, valid_at = _check_against_per_step_recomputation(
+            params, (10.0, 10.0), (0.0, 0.0), 3, steps, 5, batch.D_SAMPLE_TIMES)
+        # the demo's 64 steps, then the recomputation's
+        assert stepped[:64] == list(range(64)) and len(stepped) == 64 + steps
+        assert not any(entered) and all(valid_at[200])
 
     # a swarm at rest with both particles on one point never moves under the
     # noise-free rule, so these starts stay on a boundary at every step
