@@ -11,13 +11,11 @@ from .core import (
     sphere,
     sphere_plus,
 )
-from .engine import TrialResult, init_swarm, init_swarm_explicit, run_until_hit, step
+from .engine import init_swarm, run_until_hit
 from .moments import (
-    MomentLimits,
     equilibrium_point,
     f_one,
     iterate_moments,
-    moment_limits,
     moment_transition,
     stationary_moments,
     stationary_variance,

@@ -514,7 +514,10 @@ def run_counterexample_batch(params: PsoParams, objective: ObjectiveFn,
 
 
 def _checkpoints(checkpoints, first: int, steps: int) -> set:
-    """The checkpoints and the final step, each checked to lie in [first, steps]."""
+    """The checkpoints and the final step, each checked to lie in [first, steps];
+    a run of fewer than `first` steps has no final step to report and raises."""
+    if steps < first:
+        raise ValueError(f"steps must be at least {first}, got {steps}")
     wanted = set(int(t) for t in checkpoints)
     outside = sorted(t for t in wanted if not first <= t <= steps)
     if outside:
@@ -559,8 +562,8 @@ def run_fixed_attractor_ensemble(params: PsoParams, p_best: float, g_best: float
                                  checkpoints=()) -> dict:
     """Directly simulates the fixed-attractor recurrence over independent
     chains; returns {t: positions (trials,)} snapshots at the checkpoints
-    (always including the final step).  A checkpoint outside [0, steps]
-    raises ValueError.
+    (always including the final step).  Negative steps, or a checkpoint
+    outside [0, steps], raise ValueError.
     """
     wanted = _checkpoints(checkpoints, 0, steps)
     return {t: x for t, x, _ in _attractor_chain(params, p_best, g_best, trials,
@@ -608,7 +611,8 @@ def run_pbest_gap_batch(params: PsoParams, objective: ObjectiveFn, trials: int,
                         steps: int, master_seed: int, checkpoints=()) -> PbestGapResult:
     """Tracks max_i (G_t - P_t^(i))^2 under all-nonnegative position
     initialisation (positions uniform on [0, alpha], velocities on
-    [-alpha, alpha]).  A checkpoint outside [1, steps] raises ValueError.
+    [-alpha, alpha]).  Steps below 1, or a checkpoint outside [1, steps],
+    raise ValueError.
     """
     wanted = _checkpoints(checkpoints, 1, steps)
     m, n = params.m, params.n

@@ -240,6 +240,21 @@ def _start(cfg, params) -> dict:
     return start
 
 
+def _outcome(hit_evals: int, budget: int) -> tuple:
+    """("hit", evals at the hit) or ("censored", budget), from a trial's hit
+    evals (-1 when censored); `simulate`'s manifest and `fht.csv` both say it."""
+    return ("hit", hit_evals) if hit_evals >= 0 else ("censored", budget)
+
+
+def _trajectory_rows(swarm) -> list:
+    """trajectory.csv lines for trial 0's current state, one per particle per
+    dimension, each value as the repr of a Python float."""
+    X, V, P = (a[:, 0].tolist() for a in (swarm.X, swarm.V, swarm.P))
+    G, fg = swarm.G[0].tolist(), float(swarm.fG[0])
+    return [f"{swarm.t},{i},{j},{X[i][j]!r},{V[i][j]!r},{P[i][j]!r},{G[j]!r},{fg!r}"
+            for i in range(len(X)) for j in range(len(G))]
+
+
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args, required=("omega", "phi1", "phi2", "epsilon", "m", "budget"))
     params = _params_from_config(cfg)
@@ -250,14 +265,18 @@ def cmd_simulate(args) -> int:
     stride = cfg.get("stride", max(1, budget // (1000 * params.m)))
     if stride < 1:
         raise CliError(f"stride must be at least 1, got {stride}")
-    result = engine.run_until_hit(swarm, budget, trace_stride=stride)
+    rows = ["t,particle,dim,x,v,p,g,f_g", *_trajectory_rows(swarm)]
+
+    def observe(s):
+        if s.t % stride == 0:
+            rows.extend(_trajectory_rows(s))
+
+    result = engine.run_until_hit(swarm, budget, observe=observe)
     out = _out_dir(args)
-    rows = [engine.TRAJECTORY_HEADER]
-    for t, i, j, x, v, p, g, fg in result.trace:
-        rows.append(f"{t},{i},{j},{x!r},{v!r},{p!r},{g!r},{fg!r}")
     _write_lines(out / "trajectory.csv", rows)
-    extra = [f"outcome = {result.outcome}", f"evals = {result.evals}",
-             f"final_g_value = {result.final_gbest_value!r}", f"stride = {stride}"]
+    outcome, evals = _outcome(int(result.hit_evals[0]), budget)
+    extra = [f"outcome = {outcome}", f"evals = {evals}",
+             f"final_g_value = {float(result.final_gbest_value[0])!r}", f"stride = {stride}"]
     write_manifest(out, "simulate", seed, cfg, ["trajectory.csv"], extra)
     return 0
 
@@ -272,10 +291,10 @@ def cmd_fht(args) -> int:
                                    **_start(cfg, params))
     out = _out_dir(args)
     rows = ["trial,outcome,evals,final_g_value"]
-    for k, (evals, g) in enumerate(zip(est.hit_evals.tolist(),
-                                       est.final_gbest_values.tolist())):
-        rows.append(f"{k},hit,{evals},{g!r}" if evals >= 0
-                    else f"{k},censored,{est.budget},{g!r}")
+    for k, (hit_evals, g) in enumerate(zip(est.hit_evals.tolist(),
+                                           est.final_gbest_values.tolist())):
+        outcome, evals = _outcome(hit_evals, est.budget)
+        rows.append(f"{k},{outcome},{evals},{g!r}")
     _write_lines(out / "fht.csv", rows)
     surv = ["evals,fraction_not_hit"]
     surv += [f"{e},{frac!r}" for e, frac in est.survival_curve]

@@ -359,6 +359,21 @@ class TestSubcommands:
         assert lines[0] == "t,particle,dim,x,v,p,g,f_g"
         assert lines[1].startswith("0,0,0,0.9,-0.05,0.9,0.9,")
 
+    def test_simulate_trajectory_rows_schema(self, tmp_path):
+        out = tmp_path / "o"
+        overrides = ["omega=0.4", "phi1=1.5", "phi2=1.5", "epsilon=1e-9", "m=2", "n=2",
+                     "budget=20", "stride=1"]
+        assert main(["simulate", "--seed", "2", "--out", str(out),
+                     *[a for kv in overrides for a in ("--override", kv)]]) == 0
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "t,particle,dim,x,v,p,g,f_g"
+        # (1 init + 9 steps) * m * n rows
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 10 * 2 * 2
+        assert [tuple(map(int, r[:3])) for r in rows] == [
+            (t, i, j) for t in range(10) for i in range(2) for j in range(2)]
+        assert all(len(r) == 8 and repr(float(x)) == x for r in rows for x in r[3:])
+
     def test_simulate_rejects_start_without_nonnegative_position(self, tmp_path):
         params = make_params(0.4, 1.5, 1.5, 0.01, 1.0, 0.01, 3, 1)
         # seed 14's first draw puts every particle below 0, where f = +inf

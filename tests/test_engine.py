@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmlab import batch, engine
+from swarmlab import batch, cli, engine
 from swarmlab.core import (
     PURPOSE_NOISE,
     PURPOSE_R,
@@ -157,14 +157,13 @@ class TestRunUntilHit:
     def test_initial_position_inside_ball_hits_with_m_evals(self):
         s = _explicit([0.0], [0.0], sphere(), seed=1, epsilon=0.5)
         r = engine.run_until_hit(s, 1000)
-        assert r.hit and r.evals_at_hit == 1 and r.outcome == "hit"
+        assert r.hit_evals[0] == 1
 
     def test_budget_censoring(self):
         s = _explicit([0.9], [-0.05], sphere(), seed=1, omega=0.5, epsilon=0.5)
         r = engine.run_until_hit(s, 500)
-        assert not r.hit and r.outcome == "censored" and r.evals == 500
-        assert r.final_gbest_value == pytest.approx(0.85**2, rel=1e-9)
-        assert type(r.final_gbest_value) is float
+        assert r.hit_evals[0] == -1 and s.eval_count == 500
+        assert r.final_gbest_value[0] == pytest.approx(0.85**2, rel=1e-9)
 
     def test_budget_below_m_rejected(self):
         s = engine.init_swarm(_params(m=3), sphere(), 1)
@@ -173,27 +172,17 @@ class TestRunUntilHit:
 
     def test_eval_accounting_multiple_of_m(self):
         params = _params(m=3, delta=0.05, epsilon=0.05)
-        s = engine.init_swarm(params, sphere(), 33, trial=5)
+        s = batch.BatchSwarm(params, sphere(), 1, 33, 5)
         r = engine.run_until_hit(s, 30_000)
-        assert r.hit and r.evals_at_hit % 3 == 0 and r.evals_at_hit <= 30_000
+        assert 0 <= r.hit_evals[0] <= 30_000 and r.hit_evals[0] % 3 == 0
 
     def test_hit_leaves_the_swarm_in_its_hit_state(self):
         params = _params(m=3, delta=0.05, epsilon=0.005)
-        s = engine.init_swarm(params, sphere(), 33, trial=5)
+        s = batch.BatchSwarm(params, sphere(), 1, 33, 5)
         r = engine.run_until_hit(s, 30_000)
-        assert r.hit and s.t > 0
-        assert s.trials == 1 and s.eval_count == r.evals_at_hit
-        assert s.fG[0] == r.final_gbest_value
-
-    def test_trace_rows_schema(self):
-        params = _params(m=2, n=2, epsilon=1e-9)
-        s = engine.init_swarm(params, sphere(), 2)
-        r = engine.run_until_hit(s, 20, trace_stride=1)
-        assert engine.TRAJECTORY_HEADER == "t,particle,dim,x,v,p,g,f_g"
-        # (1 init + 9 steps) * m * n rows
-        assert len(r.trace) == 10 * 2 * 2
-        assert all(len(row) == 8 for row in r.trace)
-        assert all(isinstance(row[3], float) for row in r.trace)
+        assert r.hit_evals[0] >= 0 and s.t > 0
+        assert s.trials == 1 and s.eval_count == r.hit_evals[0]
+        assert s.fG[0] == r.final_gbest_value[0]
 
 
 def _check_draw_blocks(phi1, phi2):
@@ -434,12 +423,12 @@ def _check_hit_rule(params, f, ref_f, trials, budget, seed, nonneg=False, X0=Non
             while nonneg and not (state.positions >= 0).any():
                 attempt += 1
                 state = ref_init(params, ref_f, draw, attempt=attempt)
-            one = engine.init_swarm(params, f, seed, trial=k, require_nonneg_gbest=nonneg)
+            one = batch.BatchSwarm(params, f, 1, seed, k, require_nonneg_gbest=nonneg)
         evals, gbest = _replay_old_hit_rule(params, f.optimum_value, ref_f, state, draw,
                                             budget)
         r = engine.run_until_hit(one, budget)
         assert (full.hit_evals[k], full.final_gbest_value[k]) == (evals, gbest)
-        assert (r.evals_at_hit if r.hit else -1, r.final_gbest_value) == (evals, gbest)
+        assert (r.hit_evals[0], r.final_gbest_value[0]) == (evals, gbest)
         want.append(evals)
     return np.array(want)
 
@@ -518,15 +507,17 @@ class TestFreezeExit:
         # 1072; the first check after that is at step 1088
         runs = [_explicit([0.9], [-0.05], sphere(), seed=1, omega=0.5, epsilon=0.5)
                 for _ in range(2)]
-        r = engine.run_until_hit(runs[0], budget, trace_stride=1)
+        # repr tells signed zeros apart, so equal rows are equal bits
+        rows = cli._trajectory_rows(runs[0])
+        r = engine.run_until_hit(runs[0], budget,
+                                 observe=lambda s: rows.extend(cli._trajectory_rows(s)))
         plain = runs[1]
-        rows = engine.trajectory_rows(plain)
+        want = cli._trajectory_rows(plain)
         while plain.eval_count + 1 <= budget:
             plain.step()
-            rows += engine.trajectory_rows(plain)
-        assert not r.hit and r.final_gbest_value == plain.fG[0]
-        assert np.array_equal(np.array(r.trace).view(np.uint64),
-                              np.array(rows).view(np.uint64))
+            want += cli._trajectory_rows(plain)
+        assert r.hit_evals[0] == -1 and r.final_gbest_value[0] == plain.fG[0]
+        assert rows == want
         a, b = runs
         assert (a.t, a.eval_count) == (b.t, b.eval_count) == (budget - 1, budget)
         for name in ("X", "V", "P", "fP", "G", "fG", "improved"):
@@ -695,3 +686,16 @@ def test_fixed_attractor_ensemble_rejects_checkpoints_outside_the_run():
     with pytest.raises(ValueError, match=r"\[0, 10\], got \[-1, 20\]"):
         batch.run_fixed_attractor_ensemble(params, 0.3, -0.7, 5, 10, 4,
                                            checkpoints=(3, 20, -1))
+
+
+# a run of fewer steps than the first checkpoint it may report has no final
+# step to report
+@pytest.mark.parametrize("run, first", [
+    (lambda params, steps: batch.run_fixed_attractor_ensemble(params, 0.3, -0.7, 5, steps, 4),
+     0),
+    (lambda params, steps: batch.run_pbest_gap_batch(params, sphere(), 5, steps, 4), 1),
+], ids=["fixed-attractor", "pbest-gap"])
+def test_runs_shorter_than_their_first_checkpoint_are_rejected(run, first):
+    params = make_params(0.4, 1.3, 1.7, 0.01, 0.5, 1e-2, 1, 1)
+    with pytest.raises(ValueError, match=rf"steps must be at least {first}, got {first - 1}"):
+        run(params, first - 1)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from swarmlab import experiments, moments
+from swarmlab import experiments, moments, regions
 from swarmlab.cli import PRESETS
 from swarmlab.core import get_objective, make_params
 from swarmlab.experiments import estimate_fht, wilson_interval
@@ -270,6 +270,23 @@ class TestImprovementProbability:
         with pytest.raises(ValueError, match=r"improvement counting requires delta > 0"):
             experiments.improvement_probability_check(
                 make_params(0.4, 1.5, 1.5, 0.0, 1, 0.01, 1, 1), trials=10, master_seed=1)
+        assert calls == []
+
+    # f(1) is exactly 1/3 here, inside the mean-square and deterministic
+    # regions: the noisy region and the check both need f(1) > 1/3
+    def test_f_one_of_exactly_one_third_is_outside_and_rejected_before_any_chain(
+            self, monkeypatch):
+        w, phi1, phi2 = 0.578125, 0.21875, 0.375
+        assert moments.f_one(w, phi1, phi2) == 1.0 / 3.0
+        assert regions.in_mean_square_region(w, phi1, phi2)
+        assert regions.in_deterministic_region(w, phi1, phi2)
+        assert not regions.in_noisy_fht_region(w, phi1, phi2)
+        calls = []
+        monkeypatch.setattr(experiments.batch, "_attractor_chain",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=r"requires f\(1\) > 1/3"):
+            experiments.improvement_probability_check(
+                make_params(w, phi1, phi2, 0.01, 1, 0.01, 1, 1), trials=10, master_seed=1)
         assert calls == []
 
 

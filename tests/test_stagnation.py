@@ -345,6 +345,18 @@ class TestTwoParticleDemoBookkeeping:
         assert stepped[:64] == list(range(64)) and len(stepped) == 64 + steps
         assert not any(entered) and all(valid_at[200])
 
+    # with phi1 = phi2 = 0, particle 1 overflows to inf at step 1 (1.7e308 +
+    # 0.5 * 1e308), and 0 * (P - inf) turns it into NaN at step 2; particle 2
+    # stays at 0.3.  The running minimum propagates the NaN, as the sign tests
+    # do; np.fmin in place of either np.minimum would read 0.3
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_nan_position_makes_the_minimum_position_nan(self):
+        params = make_params(0.5, 0.0, 0.0, 0.0, 1, 0.5, 2, 1)
+        res = batch.run_two_particle_demo(params, sphere(), [1.7e308, 0.3], [1e308, 0.0],
+                                          3, 60, 5)
+        assert np.isnan(res.min_position).all()
+
     # a swarm at rest with both particles on one point never moves under the
     # noise-free rule, so these starts stay on a boundary at every step
     def test_particle_at_zero_keeps_the_sign_prerequisite(self):
