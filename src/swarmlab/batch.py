@@ -27,10 +27,11 @@ drops trials that hit (`BatchSwarm.keep`) without changing what the rest draw.
 The noise-free rule can bring a trial to a fixed point that is exact in
 floating point: every velocity zero and every attraction target equal to the
 position, so each later step recomputes the same bits.  Every `_FREEZE_EVERY`
-steps `step_until_hit` and `run_two_particle_demo` check for such trials
-(`_frozen`): the hitting-time loop drops them as censored, and stops stepping
-once every trial left is frozen; the demo stops once every trial is.  Their
-outputs, and every sweep an observer sees, are those of stepping to the end.
+steps, `step_until_hit` and `run_two_particle_demo` work out from the current
+state which trials the next step leaves with their bits (`_frozen`): the
+hitting-time loop drops them as censored, and stops stepping once every trial
+left is frozen; the demo stops once every trial is.  Their outputs, and every
+sweep an observer sees, are those of stepping to the end.
 
 At narrow shapes (about 100 trials) a step costs its numpy calls, not its
 arithmetic, so the calls per step are few without moving a bit: each draw
@@ -267,41 +268,30 @@ class BatchSwarm:
         return values
 
 
-def _held_for_check(swarm: BatchSwarm):
-    """The (X, V) that `_frozen` compares after the coming step, or None.
+def _frozen(swarm: BatchSwarm) -> np.ndarray:
+    """(trials,) mask of the trials whose next step, and so every later one,
+    keeps the state's bits; it reads the current state alone.
 
-    They are held only when that step ends on a freeze check (every
-    `_FREEZE_EVERY` steps) and some velocity is already exactly zero, as a
-    frozen trial's is before its last step.  `step` binds new arrays, so
-    holding copies nothing."""
-    if (swarm.t + 1) % _FREEZE_EVERY or swarm.V.all():
-        return None
-    return swarm.X, swarm.V
-
-
-def _frozen(swarm: BatchSwarm, X_prev, V_prev) -> np.ndarray:
-    """(trials,) mask of the trials whose last step, from X_prev and V_prev,
-    changed nothing, and whose every later step changes nothing either.
-
-    Such a trial has no noise term, no personal best that improved on that
-    step, X and V with the bits they had before it, every velocity exactly
-    zero, and each attraction term with a zero weight or a target equal to X.
-    Every term of its next velocity is then a zero whose sign depends on the
-    state alone (R and S lie in [0, 1), and a zero weight's factor is the
-    weight), so its next state is this one, bit for bit, and so on.  Bits are
-    compared through uint64 views, which tell signed zeros apart.  A
-    non-finite state never qualifies: a velocity computed from an infinite
-    difference is NaN, not zero.
+    Such a trial has no noise term, every velocity exactly zero, each
+    attraction term with a zero weight or a target equal to X, no personal
+    best improved on the last step, and a next velocity Vn (in `step`'s
+    order, each weight in place of its draw block) with V's bits and X + Vn
+    with X's.  Vn is `step`'s velocity: a target equal to X makes a signed
+    zero difference d, and a factor phi * u, u in [0, 1), is finite with
+    phi's sign, so it times d is the zero phi * d; a zero weight's factor is
+    the weight.  The next step evaluates X again and improves nothing.  Bits
+    are compared as uint64, which tells signed zeros apart; inf - inf is NaN.
     """
     if swarm._base_d is not None:
         return np.zeros(swarm.trials, dtype=bool)
-    X, V = swarm.X, swarm.V
-    same = ((X.view(np.uint64) == X_prev.view(np.uint64))
-            & (V.view(np.uint64) == V_prev.view(np.uint64)) & (V == 0))
+    p, X, V, P, G = swarm.params, swarm.X, swarm.V, swarm.P, swarm.G[None]
+    Vn = p.omega * V + p.phi1 * (P - X) + p.phi2 * (G - X)
+    same = ((V == 0) & (Vn.view(np.uint64) == V.view(np.uint64))
+            & ((X + Vn).view(np.uint64) == X.view(np.uint64)))
     if swarm._base_r is not None:
-        same &= swarm.P == X
+        same &= P == X
     if swarm._base_s is not None:
-        same &= swarm.G[None] == X
+        same &= G == X
     return same.all(axis=(0, 2)) & ~swarm.improved.any(axis=0)
 
 
@@ -335,8 +325,8 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *, observe=None) -> FhtBatchR
     No value lies below the optimum value (see `ObjectiveFn`), so a hit shows
     in `fG`, tested only when `step` has made a new one.  Trials that hit leave
     the batch (`keep`), except the last, so the swarm ends in its hit state.
-    A trial frozen at a fixed point (`_frozen`, checked every `_FREEZE_EVERY`
-    steps) can never hit, so it leaves as censored with its final value; once
+    A trial frozen at a fixed point (`_frozen`, read off the state at each t > 0
+    divisible by `_FREEZE_EVERY`) never hits: it leaves as censored; once
     every trial left is frozen, the remaining sweeps advance `t` and
     `eval_count` without stepping, and the swarm ends as stepping would leave
     it.  `observe(swarm)` runs after each sweep, stepped or not.  A trial's
@@ -350,7 +340,7 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *, observe=None) -> FhtBatchR
     live = np.arange(swarm.trials)   # batch row -> trial id
     hit_evals = np.full(live.size, -1, dtype=np.int64)
     final_g = np.empty(live.size)
-    tested = held = None
+    tested = None
     while True:
         leave, idle = None, False
         if swarm.fG is not tested:
@@ -363,9 +353,9 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *, observe=None) -> FhtBatchR
                 if done.size == live.size:
                     break
                 leave = hit
-        if held is not None:
+        if swarm.t and not swarm.t % _FREEZE_EVERY:
             # a frozen trial did not improve on its last step, so it is no hit
-            frozen = _frozen(swarm, *held)
+            frozen = _frozen(swarm)
             if np.count_nonzero(frozen):
                 moving = ~frozen if leave is None else ~(frozen | leave)
                 idle = not np.count_nonzero(moving)
@@ -381,7 +371,6 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *, observe=None) -> FhtBatchR
         if swarm.eval_count + m > budget:
             final_g[live] = swarm.fG
             break
-        held = _held_for_check(swarm)
         swarm.step()
         if observe is not None:
             observe(swarm)
@@ -415,10 +404,11 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
     stagnation bounds speak about: entries into the target ball |x| <=
     params.epsilon, absolute velocity sums, and the inter-particle distance
     at the steps `D_SAMPLE_TIMES` (with the sign prerequisites monitored so
-    bound comparisons can condition on them).  Once every trial is frozen at
-    a fixed point (`_frozen`), each later step would add +0.0 to every |V| sum
-    and repeat every other statistic, so the run stops there and the sample
-    times still to come get the current |D| and prerequisites.
+    bound comparisons can condition on them).  Once every trial is frozen
+    (`_frozen`, checked as `step_until_hit` checks it), each later step would
+    add +0.0 to every |V| sum and repeat every other statistic, so the run
+    stops there and the sample times still to come get the current |D| and
+    prerequisites.
     """
     if params.m != 2 or params.n != 1:
         raise ValueError("two-particle demo requires m=2, n=1")
@@ -434,10 +424,8 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
     min_pos = np.full(trials, np.inf)
     d_abs_at = {}
     valid_at = {}
-    held = None
     for t in range(steps + 1):
         if t > 0:
-            held = _held_for_check(swarm)
             swarm.step()
         # elementwise on each particle's row: a reduction over the length-2
         # particle axis costs several times as much at 10^4 trials
@@ -453,7 +441,7 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
         if t in D_SAMPLE_TIMES:
             d_abs_at[t] = np.abs(xb - xa)
             valid_at[t] = valid.copy()
-        if held is not None and _frozen(swarm, *held).all():
+        if t and not t % _FREEZE_EVERY and _frozen(swarm).all():
             # every later step adds +0.0 to each |V| sum and repeats the rest
             for later in D_SAMPLE_TIMES:
                 if t < later <= steps:

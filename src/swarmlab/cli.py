@@ -360,7 +360,7 @@ def cmd_moments(args) -> int:
     rho = moments.char_cubic_radius(block)
     table = [("f_one", f1), ("f_one_asymmetric_variant", f1_alt),
              ("second_moment_spectral_radius", rho)]
-    if regions.in_mean_square_region(params.omega, phi1, phi2):
+    if moments.in_mean_square_region(params.omega, phi1, phi2):
         stat = moments.stationary_moments(params, p_best, g_best)
         table += [
             ("mean_limit_closed_form", moments.equilibrium_point(params, p_best, g_best)),

@@ -313,11 +313,14 @@ def stationary_moment_check(params: PsoParams, p_best: float, g_best: float,
     """Ensemble mean (with its se) and variance of the fixed-attractor
     recurrence at the horizon versus the closed-form variance limit and the
     exact oracle fixed point.  The mid-window variance shows whether the
-    burn-in sufficed.  The sample variances need trials >= 2 and the limits a
-    mean-square stable point; both are checked before any chain is run.
+    burn-in sufficed.  The sample variances need trials >= 2, the windows a
+    burn_in and a horizon >= 0, and the limits a mean-square stable point;
+    each is checked before any chain is run.
     """
     if trials < 2:
         raise ValueError(f"stationary moment check needs trials >= 2, got {trials}")
+    if burn_in < 0 or horizon < 0:
+        raise ValueError(f"burn_in and horizon must be >= 0, got {burn_in}, {horizon}")
     closed_form_var = moments.variance_limit(params, p_best, g_best)
     oracle_var = moments.stationary_variance(params, p_best, g_best)
     total = burn_in + horizon

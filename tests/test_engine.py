@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmlab import batch, cli, engine
 from swarmlab.core import (
@@ -469,12 +470,51 @@ def _stepped_to_the_budget(params, f, trials, budget, seed):
     return hit_evals, final_g, sw
 
 
-def _at_rest(params, X0, trials=4):
+def _at_rest(params, X0, trials=4, f=sphere()):
     """A swarm started at rest on the (m, n) positions X0, with its last step
     taken to have improved no personal best."""
-    sw = batch.BatchSwarm(params, sphere(), trials, 3, init="explicit",
+    sw = batch.BatchSwarm(params, f, trials, 3, init="explicit",
                           positions=X0, velocities=np.zeros_like(X0))
     sw.improved = np.zeros((params.m, trials), dtype=bool)
+    return sw
+
+
+def _bits(sw, k):
+    """Trial k's X, V, P, fP, G and fG, as uint64 bits."""
+    arrays = [a[:, k] for a in (sw.X, sw.V, sw.P, sw.fP)] + [sw.G[k], sw.fG[k]]
+    return [np.ascontiguousarray(a).view(np.uint64).tolist() for a in arrays]
+
+
+# near-rest coordinates: signed zeros, the counterexample's special points 0
+# and 1, their midpoint, and -1
+_NEAR_REST = (0.0, -0.0, 0.5, 1.0, -1.0)
+
+
+@st.composite
+def _near_rest_swarms(draw, trials=3):
+    """A swarm at or near rest: velocities are signed zeros, each particle's
+    personal best is its position or a point no worse, and only a particle
+    whose best is its position may have improved on the last step."""
+    f = draw(st.sampled_from([sphere(), counterexample()]))
+    m = draw(st.integers(1, 3))
+    n = 1 if f.name == "counterexample" else draw(st.integers(1, 2))
+    weight = st.sampled_from([0.0, -0.0, 0.5, 1.5])
+    params = make_params(draw(st.sampled_from([0.4, -0.4, 0.0, -0.0, 0.7])), draw(weight),
+                         draw(weight), draw(st.sampled_from([0.0, 0.0, 0.01])), 1.0, 0.01, m, n)
+
+    def grid(values, *shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=size,
+                                      max_size=size))).reshape(shape)
+
+    X, V, other = (grid(values, m, trials, n) for values in (_NEAR_REST, (0.0, -0.0), _NEAR_REST))
+    at_x = grid((False, True), m, trials) | (f.batch_evaluate(other) > f.batch_evaluate(X))
+    P = np.where(at_x[:, :, None], X, other)
+    sw = batch.BatchSwarm(params, f, trials, draw(st.integers(0, 2 ** 32)), init="explicit",
+                          positions=X.transpose(1, 0, 2), velocities=V.transpose(1, 0, 2))
+    sw.P, sw.fP = P, f.batch_evaluate(P)
+    sw.G, sw.fG = batch._global_best(sw.P, sw.fP)
+    sw.improved = at_x & grid((False, True), m, trials)
     return sw
 
 
@@ -529,27 +569,30 @@ class TestFreezeExit:
     def test_a_swarm_at_rest_on_one_point_is_frozen(self):
         sw = _at_rest(_params(m=2), np.array([[2.0], [2.0]]))
         X, V = sw.X, sw.V
-        assert batch._frozen(sw, X, V).all()
+        assert batch._frozen(sw).all()
         sw.step()
         assert np.array_equal(sw.X.view(np.uint64), X.view(np.uint64))
         assert np.array_equal(sw.V.view(np.uint64), V.view(np.uint64))
 
     # each start is at rest, with a last step taken to have changed nothing;
-    # the next step moves it all the same
-    @pytest.mark.parametrize("kw, X0, P0", [
-        (dict(delta=0.01), [[2.0], [2.0]], None),              # the noise term
-        (dict(phi2=0.0), [[2.0], [2.0]], [[1.0], [1.0]]),     # phi1 > 0, P != X
-        (dict(phi1=0.0), [[1.0], [2.0]], None),               # phi2 > 0, G != X
-    ], ids=["noise", "P-not-X", "G-not-X"])
-    def test_a_state_the_next_step_moves_is_not_frozen(self, kw, X0, P0):
+    # the next step moves it all the same.  In the last, the frozen-bests
+    # counterexample's midpoint, the two targets' pulls cancel at the weights
+    # but not at the draws
+    @pytest.mark.parametrize("kw, X0, P0, f", [
+        (dict(delta=0.01), [[2.0], [2.0]], None, sphere()),              # the noise term
+        (dict(phi2=0.0), [[2.0], [2.0]], [[1.0], [1.0]], sphere()),     # phi1 > 0, P != X
+        (dict(phi1=0.0), [[1.0], [2.0]], None, sphere()),               # phi2 > 0, G != X
+        (dict(), [[0.0], [0.5]], [[0.0], [1.0]], counterexample()),     # P - X = X - G
+    ], ids=["noise", "P-not-X", "G-not-X", "pulls-cancel"])
+    def test_a_state_the_next_step_moves_is_not_frozen(self, kw, X0, P0, f):
         params = _params(m=2, **kw)
-        sw = _at_rest(params, np.array(X0))
+        sw = _at_rest(params, np.array(X0), f=f)
         if P0 is not None:
             sw.P = np.broadcast_to(np.array(P0)[:, None], sw.X.shape).copy()
-            sw.fP = sphere().batch_evaluate(sw.P)
+            sw.fP = f.batch_evaluate(sw.P)
             sw.G, sw.fG = batch._global_best(sw.P, sw.fP)
-        X, V = sw.X, sw.V
-        assert not batch._frozen(sw, X, V).any()
+        X = sw.X
+        assert not batch._frozen(sw).any()
         sw.step()
         assert not np.array_equal(sw.X, X)
 
@@ -558,20 +601,36 @@ class TestFreezeExit:
         # +0.0, and only then does its state repeat
         params = _params(omega=0.5, m=1, n=2)
         sw = _at_rest(params, np.array([[-0.0, 1.0]]))
-        held = sw.X, sw.V
+        X = sw.X
+        assert not batch._frozen(sw).any()
         sw.step()
-        assert np.signbit(held[0][0, :, 0]).all() and not np.signbit(sw.X[0, :, 0]).any()
-        assert not batch._frozen(sw, *held).any()
-        held = sw.X, sw.V
+        assert np.signbit(X[0, :, 0]).all() and not np.signbit(sw.X[0, :, 0]).any()
+        assert batch._frozen(sw).all()
+        X, V = sw.X, sw.V
         sw.step()
-        assert batch._frozen(sw, *held).all()
+        assert np.array_equal(sw.X.view(np.uint64), X.view(np.uint64))
+        assert np.array_equal(sw.V.view(np.uint64), V.view(np.uint64))
 
-    def test_noisy_runs_are_never_checked(self, monkeypatch):
-        # delta > 0: no velocity is ever exactly zero, so no state is held
+    def test_noisy_runs_flag_no_trial(self, monkeypatch):
+        # delta > 0: the noise term moves every trial at every step
         params = _params(m=2, delta=0.01, epsilon=1e-300)
-        monkeypatch.setattr(batch, "_frozen", lambda *a: pytest.fail("checked"))
+        flagged = []
+        check = batch._frozen
+        monkeypatch.setattr(batch, "_frozen",
+                            lambda sw: flagged.append(int(check(sw).sum())) or check(sw))
         res = batch.run_fht_batch(params, sphere(), 20, 1000, 5)
         assert (res.hit_evals < 0).all()
+        # 499 steps, checked at every multiple of _FREEZE_EVERY
+        assert len(flagged) == 499 // batch._FREEZE_EVERY and not any(flagged)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_near_rest_swarms())
+    def test_a_flagged_trial_keeps_its_bits_for_two_more_steps(self, sw):
+        flagged = np.flatnonzero(batch._frozen(sw))
+        before = [_bits(sw, k) for k in flagged]
+        sw.step()
+        sw.step()
+        assert [_bits(sw, k) for k in flagged] == before
 
 
 # (the kernel's objective, its scalar reference)

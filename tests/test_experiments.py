@@ -231,6 +231,19 @@ class TestStationaryMomentCheck:
                 experiments.stationary_moment_check(p, 0.0, 1.0, trials=trials,
                                                     burn_in=10, horizon=10, master_seed=1)
 
+    # at burn_in -5 the "mid-window" snapshot was the t = 0 start's, and a
+    # negative horizon surfaced as a checkpoint range that named neither
+    @pytest.mark.parametrize("burn_in, horizon", [(-5, 10), (10, -5), (-1, -1)])
+    def test_negative_window_rejected_before_running(self, monkeypatch, burn_in, horizon):
+        calls = []
+        monkeypatch.setattr(experiments.batch, "run_fixed_attractor_ensemble",
+                            lambda *args, **kwargs: calls.append(args))
+        p = make_params(0.4, 1.5, 1.5, 0, 1, 0.01, 1, 1)
+        with pytest.raises(ValueError, match="burn_in and horizon must be >= 0"):
+            experiments.stationary_moment_check(p, 0.0, 1.0, trials=10, burn_in=burn_in,
+                                                horizon=horizon, master_seed=1)
+        assert calls == []
+
     @pytest.mark.parametrize("omega, phi", UNSTABLE)
     def test_unstable_point_rejected_before_running(self, monkeypatch, omega, phi):
         calls = []

@@ -1,7 +1,7 @@
-"""Golden digests: the sha-256 of every artifact of small CLI runs and of the
-fixed-attractor runners' arrays, pinned to the bytes the code wrote when they
-were taken.  A change meant to leave every output byte-identical must leave
-these as they are.
+"""Golden digests: the sha-256 of every artifact of small CLI runs, of the
+fixed-attractor runners' arrays and of a diverging hitting-time run's, pinned
+to the bytes the code wrote when they were taken.  A change meant to leave
+every output byte-identical must leave these as they are.
 
 The simulation and the region scan call no LAPACK routine, so the digests do
 not depend on the machine's BLAS/LAPACK build.  The one LAPACK-derived value
@@ -16,7 +16,7 @@ import pytest
 
 from swarmlab import batch
 from swarmlab.cli import main
-from swarmlab.core import make_params
+from swarmlab.core import make_params, sphere
 
 # sphere at n = 2 from a random start, with noise: hits while stepping and
 # censored trials at a budget of 150
@@ -145,3 +145,19 @@ def test_improvement_counts_byte_identical():
     assert (counts.samples, counts.compound_hits, counts.y_tail_hits) == (80000, 38605, 7830)
     assert _sha256(counts.final_positions.tobytes()) == (
         "a87f7e30a17b570a1eee9a652b8c2929d18108db1da9d8910993f5821349d3ce")
+
+
+# omega 1.2 lies outside the stable region: every trial's swarm diverges
+# through inf to NaN, and all 50 are censored at the budget.  The noise-free
+# variant meets the freeze check every 64 steps with NaN states
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("delta, want", [
+    (0.01, "5e668b0c0e00520222f418d6a52226b41e326cad60527c49ffb9a1f6ea18daf0"),
+    (0.0, "d1dbb0093205f33d7748719e65f5ac7d9e9c8ddafa010f9b98576df7f41edc38"),
+])
+def test_divergent_fht_run_byte_identical(delta, want):
+    params = make_params(1.2, 1.5, 1.5, delta, 1.0, 1e-8, 3, 1)
+    res = batch.run_fht_batch(params, sphere(), trials=50, budget=30_000, master_seed=0)
+    assert (res.hit_evals < 0).all()
+    assert _sha256(res.hit_evals.tobytes() + res.final_gbest_value.tobytes()) == want
