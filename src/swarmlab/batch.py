@@ -29,9 +29,12 @@ floating point: every velocity zero and every attraction target equal to the
 position, so each later step recomputes the same bits.  Every `_FREEZE_EVERY`
 steps, `step_until_hit` and `run_two_particle_demo` work out from the current
 state which trials the next step leaves with their bits (`_frozen`): the
-hitting-time loop drops them as censored, and stops stepping once every trial
-left is frozen; the demo stops once every trial is.  Their outputs, and every
-sweep an observer sees, are those of stepping to the end.
+hitting-time loop drops them as censored, and once every trial left is frozen
+it advances `t` to the last sweep within the budget without stepping; the demo
+stops once every trial is.  Their outputs, and every sweep an observer sees,
+are those of stepping to the end.  The swarm keeps no count it can compute:
+`eval_count` is m (t + 1), and a draw block is sized for the batch when it is
+hashed.
 
 At narrow shapes (about 100 trials) a step costs its numpy calls, not its
 arithmetic, so the calls per step are few without moving a bit: each draw
@@ -174,12 +177,12 @@ class BatchSwarm:
         self.G, self.fG = _global_best(self.P, self.fP)
         self.improved = None   # (m, trials) personal-best updates of the last step
         self.t = 0
-        self.eval_count = params.m
-        self._block_steps = self._steps_per_block()
         self._block_start = self._block_end = 0
 
-    def _steps_per_block(self) -> int:
-        return max(1, _BLOCK_ELEMENTS // max(1, self.trials * self.params.m * self.params.n))
+    @property
+    def eval_count(self) -> int:
+        """Evaluations per trial so far: the initial sweep and one per step."""
+        return self.params.m * (self.t + 1)
 
     def keep(self, rows) -> None:
         """Drop every trial but the given batch rows, in the given order.
@@ -189,7 +192,7 @@ class BatchSwarm:
         gathered along their trial axis 1 (`np.take` keeps them contiguous,
         where `a[:, rows]` would not), G and fG along axis 0.  A pending draw
         block is cut to the kept rows; a zero weight's scalar and an absent
-        noise term have none.  The next block is sized for the narrower batch.
+        noise term have none; a block is sized for the batch when it is hashed.
         """
         rows = np.asarray(rows, dtype=np.intp)
         for name in ("X", "V", "P", "fP", "improved", "_base_r", "_base_s", "_base_d"):
@@ -201,21 +204,22 @@ class BatchSwarm:
             self._block = tuple(np.take(b, rows, axis=2) if np.ndim(b) else b
                                 for b in self._block)
         self.trials = len(rows)
-        self._block_steps = self._steps_per_block()
 
     def _draws(self):
         """Scaled attraction factors phi1 * R and phi2 * S, each (m, trials, n),
         and the noise term D (None when delta == 0) of step t, from a
-        (steps, m, trials, n) block of `_block_steps` steps hashed from the
-        particle-major stream bases and scaled in one call each.
+        (steps, m, trials, n) block hashed from the particle-major stream bases
+        and scaled in one call each; a block holds `_BLOCK_ELEMENTS` // (trials
+        m n) steps of the batch it is hashed for, and at least one.
 
         A zero weight's factor is the weight itself, a float hashed from no
         draw: every draw u is finite and in [0, 1), so phi * u is a zero with
         phi's sign."""
         if self.t >= self._block_end:
             p = self.params
-            steps = np.arange(self.t, self.t + self._block_steps, dtype=np.uint64)
-            steps = steps.reshape(-1, 1, 1, 1)
+            self._block_start = self.t
+            self._block_end = self.t + max(1, _BLOCK_ELEMENTS // (self.trials * p.m * p.n))
+            steps = np.arange(self.t, self._block_end, dtype=np.uint64).reshape(-1, 1, 1, 1)
 
             def attraction(phi, base):
                 return phi if base is None else phi * step_uniform(base, steps)
@@ -225,7 +229,6 @@ class BatchSwarm:
                 D = p.delta * (step_uniform(self._base_d, steps) - 0.5)
             self._block = (attraction(p.phi1, self._base_r),
                            attraction(p.phi2, self._base_s), D)
-            self._block_start, self._block_end = self.t, self.t + self._block_steps
         k = self.t - self._block_start
         R, S, D = self._block
         return (R if self._base_r is None else R[k], S if self._base_s is None else S[k],
@@ -264,7 +267,6 @@ class BatchSwarm:
             self.G, self.fG = _global_best(self.P, self.fP)
         self.X, self.V, self.improved = X, V, improved
         self.t += 1
-        self.eval_count += self.params.m
         return values
 
 
@@ -295,22 +297,6 @@ def _frozen(swarm: BatchSwarm) -> np.ndarray:
     return same.all(axis=(0, 2)) & ~swarm.improved.any(axis=0)
 
 
-def _run_out_the_clock(swarm: BatchSwarm, budget: int, observe) -> None:
-    """Advance t and eval_count of a swarm whose every trial is frozen to the
-    last sweep within the budget, without stepping: a step would leave the
-    state as it is.  `observe(swarm)` still runs after every sweep."""
-    m = swarm.params.m
-    sweeps = (budget - swarm.eval_count) // m
-    if observe is None:
-        swarm.t += sweeps
-        swarm.eval_count += sweeps * m
-        return
-    for _ in range(sweeps):
-        swarm.t += 1
-        swarm.eval_count += m
-        observe(swarm)
-
-
 @dataclass(frozen=True)
 class FhtBatchResult:
     hit_evals: np.ndarray          # (trials,) int64; -1 when censored
@@ -327,14 +313,15 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *, observe=None) -> FhtBatchR
     the batch (`keep`), except the last, so the swarm ends in its hit state.
     A trial frozen at a fixed point (`_frozen`, read off the state at each t > 0
     divisible by `_FREEZE_EVERY`) never hits: it leaves as censored; once
-    every trial left is frozen, the remaining sweeps advance `t` and
-    `eval_count` without stepping, and the swarm ends as stepping would leave
-    it.  `observe(swarm)` runs after each sweep, stepped or not.  A trial's
-    final global-best value is the least value it evaluated; on the sphere
-    that is the least squared norm of every position it visited.
+    every trial left is frozen, the remaining sweeps advance `t` without
+    stepping, and the swarm ends as stepping would leave it.  `observe(swarm)`
+    runs after each sweep, stepped or not.  A trial's final global-best value
+    is the least value it evaluated; on the sphere that is the least squared
+    norm of every position it visited.
     """
     m = swarm.params.m
-    if budget < m:
+    last = budget // m - 1   # the last t whose sweep fits in the budget
+    if last < 0:
         raise ValueError(f"budget {budget} is below one evaluation sweep ({m})")
     opt, eps = swarm.objective.optimum_value, swarm.params.epsilon
     live = np.arange(swarm.trials)   # batch row -> trial id
@@ -366,9 +353,13 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *, observe=None) -> FhtBatchR
             rows = np.flatnonzero(~leave)
             live = live[rows]
             swarm.keep(rows)
-        if idle:
-            _run_out_the_clock(swarm, budget, observe)
-        if swarm.eval_count + m > budget:
+        if idle:   # each later step would leave the state as it is
+            if observe is None:
+                swarm.t = last
+            while swarm.t < last:
+                swarm.t += 1
+                observe(swarm)
+        if swarm.t >= last:
             final_g[live] = swarm.fG
             break
         swarm.step()

@@ -260,6 +260,38 @@ class TestExitCodes:
         assert rc == 2
         assert not (tmp_path / "o").exists()
 
+    # each is caught while the configuration and seed are read, before any run;
+    # a later --seed wins over the first
+    @pytest.mark.parametrize("argv, message", [
+        (["--preset", "noisy-sphereplus", "--override", "trials=abc"],
+         "bad value for trials: 'abc'"),
+        (["--preset", "noisy-sphereplus", "--override", "require_nonneg_gbest=2"],
+         "bad value for require_nonneg_gbest: '2' (expected 0 or 1, got '2')"),
+        (["--config", "{config}"], "omega.cfg:1: expected key = value"),
+        (["--preset", "noisy-sphereplus", "--override", "trials"],
+         "--override expects key=value, got 'trials'"),
+        ([], "missing configuration keys: omega, phi1, phi2, epsilon, m, trials, budget"),
+        (["--preset", "noisy-sphereplus", "--seed", "abc"],
+         "--seed must be an integer or 'auto', got 'abc'"),
+    ], ids=["value-not-an-int", "bool-not-0-or-1", "config-line-without-equals",
+            "override-without-equals", "no-preset", "seed-not-an-int"])
+    def test_configuration_that_does_not_parse(self, tmp_path, capsys, argv, message):
+        config = tmp_path / "omega.cfg"
+        config.write_text("omega 0.4\n")
+        argv = [a.format(config=config) for a in argv]
+        rc = main(["fht", "--seed", "1", *argv, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert not (tmp_path / "o").exists()
+        assert message in capsys.readouterr().err
+
+    def test_output_directory_that_cannot_be_made_exits_3(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        rc = main(["regions", "--resolution", "4", "--out", str(blocker / "sub")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert blocker.read_text() == "kept"
+
 
 class TestReproducibility:
     def test_fht_byte_identical_reruns(self, tmp_path):

@@ -186,6 +186,12 @@ class TestRunUntilHit:
         assert s.fG[0] == r.final_gbest_value[0]
 
 
+def _first_block_steps(sw):
+    """Steps in the first draw block of a fresh swarm, which this hashes."""
+    sw._draws()
+    return sw._block_end
+
+
 def _check_draw_blocks(phi1, phi2):
     """Draw blocks of 3 steps (800 x 3 x 2 elements), so 10 steps cross 3
     blocks: each block against the hashed draws scaled by its weight, zero
@@ -194,7 +200,7 @@ def _check_draw_blocks(phi1, phi2):
     f = sphere()
     seed, trials = 31, 800
     sw = batch.BatchSwarm(params, f, trials=trials, master_seed=seed)
-    assert sw._block_steps == 3
+    assert _first_block_steps(sw) == 3
     # a zero weight's stream is not hashed, so the swarm holds no base for it
     base_r, base_s = (stream_base(seed, purpose, trials, params.m, params.n)
                       for purpose in (PURPOSE_R, PURPOSE_S))
@@ -355,7 +361,7 @@ class TestCompaction:
         params = make_params(0.6, 1.5, 1.5, 0.01, 1, epsilon, 2, n)
         f = objective()
         seed, trials = 21, 300
-        assert batch.BatchSwarm(params, f, trials, seed)._block_steps == 27 // n
+        assert _first_block_steps(batch.BatchSwarm(params, f, trials, seed)) == 27 // n
         full = batch.run_fht_batch(params, f, trials, budget, seed,
                                    require_nonneg_gbest=nonneg)
         hits = full.hit_evals[full.hit_evals >= 0]
@@ -378,7 +384,9 @@ class TestCompaction:
             assert np.array_equal(got_values, want_values[:, rows] if t >= 2 else want_values)
             if t == 1:   # mid-block: steps 0-2 were hashed together
                 part.keep(rows)
-                assert part.trials == 3 and part._block_steps == 2 ** 14 // 18
+                assert part.trials == 3 and part._block_end == 3
+            if t == 3:   # the next block, hashed at step 3, is sized for 3 rows
+                assert (part._block_start, part._block_end) == (3, 3 + 2 ** 14 // 18)
             for name in ("X", "V", "P", "fP", "G", "fG", "improved"):
                 want = getattr(full, name)
                 if t >= 1:   # G and fG are (trials, ...), the rest particle-major
@@ -671,7 +679,7 @@ class TestHitRule:
         # at several steps of one draw block, so dropping them cuts that block
         params = make_params(0.6, phi1, phi2, 0.01, 1, 0.05, m, 2)
         budget = 8 * m
-        assert batch.BatchSwarm(params, sphere(), 40, 80 + m)._block_steps > budget // m
+        assert _first_block_steps(batch.BatchSwarm(params, sphere(), 40, 80 + m)) > budget // m
         evals = _check_hit_rule(params, sphere(), ref.sphere, 40, budget, 80 + m)
         assert (evals == m).any() and (evals == -1).any()
         assert len(set(evals[evals > m].tolist())) >= 4

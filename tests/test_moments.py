@@ -111,6 +111,11 @@ class TestIterateMoments:
         traj = moments.iterate_moments(M, init, 0)
         assert traj.shape == (1, 6) and np.array_equal(traj[0], init)
 
+    def test_negative_steps_rejected(self):
+        M = moments.moment_transition(_params(), 0.0, 1.0)
+        with pytest.raises(ValueError, match="T must be >= 0"):
+            moments.iterate_moments(M, moments.initial_moment_state(0.1, -0.2), -1)
+
     def test_iteration_converges_to_direct_fixed_point(self):
         p = _params(delta=0.1)
         M = moments.moment_transition(p, 0.0, 1.0)

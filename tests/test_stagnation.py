@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from swarmlab import batch, engine, stagnation
+from swarmlab import batch, engine, moments, stagnation
 from swarmlab.core import make_params, sphere
 from swarmlab.stagnation import TwoParticleInit
 
@@ -111,6 +111,11 @@ class TestFibClosedForm:
         with pytest.raises(ValueError):
             stagnation.fib_closed_form(0.0, 1.0, 1.0, 3)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_index_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            stagnation.fib_closed_form(1.0, 1.0, 1.0, n)
+
 
 class TestBounds:
     def test_distance_bound_example(self):
@@ -128,6 +133,10 @@ class TestBounds:
         init = TwoParticleInit(0.0, 1.0, -2.0, -0.5)
         assert stagnation.d_abs_expectation_bound(0, init, 0.9) == pytest.approx(
             2.0 + (-2.0) - (-0.5))
+
+    def test_distance_bound_negative_t_rejected(self):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            stagnation.d_abs_expectation_bound(-1, TwoParticleInit(0.0, 1.0, -1.0, -1.0), 0.9)
 
     def test_velocity_sum_bound_example(self):
         params = make_params(0.07, 0.0, 1.5, 0, 200, 0.5, 2, 1)
@@ -158,6 +167,35 @@ class TestBounds:
         params = make_params(0.9, 0.0, 1.9, 0, 1, 0.5, 2, 1)  # kappa > 1
         with pytest.raises(ValueError):
             stagnation.velocity_sum_bound(params, TwoParticleInit(0, 1, -1, -1))
+
+
+class TestDistanceMeanSquareLaw:
+    def test_distance_second_moment_matches_the_fixed_attractor_oracle(self):
+        # with phi1 = 0 the leader's own pull is S (G - X) = 0, so the distance
+        # D = X_b - X_a follows D_{t+1} = (1 + omega - phi2 S_t) D_t - omega D_{t-1}
+        # whichever particle leads (the sign prerequisites keep the leader
+        # improving on the sphere): the fixed-attractor recurrence at
+        # (omega, 0, phi2) with both bests at 0, started from D_0 and
+        # D_{-1} = D_0 - (v_b - v_a).  Its mean rests on rare paths beyond t = 6.
+        params = make_params(0.07, 0.0, 1.5, 0, 200, 0.5, 2, 1)
+        x0, v0 = np.array([184.0, 185.0]), np.array([-1.0, -1.0])
+        trials, horizon, z_max = 100_000, 6, 4.0
+        d0 = x0[1] - x0[0]
+        law = moments.iterate_moments(moments.moment_transition(params, 0.0, 0.0),
+                                      moments.initial_moment_state(d0, d0 - (v0[1] - v0[0])),
+                                      horizon)[:, 0]
+        assert law[1] == pytest.approx(0.25)
+        sw = batch.BatchSwarm(params, sphere(), trials, 404, init="explicit",
+                              positions=x0, velocities=v0)
+        valid = np.ones(trials, dtype=bool)
+        for t in range(1, horizon + 1):
+            sw.step()
+            X, V = sw.X[:, :, 0], sw.V[:, :, 0]
+            valid &= (X.min(axis=0) >= 0) & (V.max(axis=0) <= 0)
+            assert valid.sum() > 0.99 * trials
+            d2 = (X[1] - X[0])[valid] ** 2
+            se = d2.std(ddof=1) / np.sqrt(d2.size)
+            assert abs(d2.mean() - law[t]) < z_max * se, (t, d2.mean(), law[t], se)
 
 
 class TestTwoParticleVerdict:
@@ -225,6 +263,11 @@ class TestBadInitEvent:
     def test_boundary_position_excluded(self):
         assert not stagnation.bad_init_event(0.5, -0.05, 0.5, 0.5, 1.0)
 
+    @pytest.mark.parametrize("omega", [1.0, 1.5])
+    def test_inertia_at_or_above_one_rejected(self, omega):
+        with pytest.raises(ValueError, match="omega < 1"):
+            stagnation.bad_init_event(0.9, -0.05, omega, 0.5, 1.0)
+
 
 class TestOneParticleTrajectory:
     def test_first_step(self):
@@ -236,6 +279,25 @@ class TestOneParticleTrajectory:
         assert stagnation.one_particle_limit(0.9, -0.05, 0.5) == pytest.approx(
             0.85, rel=1e-15)
         assert stagnation.one_particle_limit(0.9, -0.05, 0.5) > 0.5
+
+    @pytest.mark.parametrize("omega", [-0.1, 1.0])
+    def test_limit_needs_inertia_in_the_unit_interval(self, omega):
+        with pytest.raises(ValueError, match="0 <= omega < 1"):
+            stagnation.one_particle_limit(0.9, -0.05, omega)
+
+    def test_step_zero_is_the_start(self):
+        assert stagnation.one_particle_trajectory(0.9, -0.05, 0.5, 0) == (0.9, -0.05)
+
+    def test_negative_step_rejected(self):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            stagnation.one_particle_trajectory(0.9, -0.05, 0.5, -1)
+
+    def test_unit_inertia_drifts_at_constant_velocity(self):
+        # the geometric sum's closed form divides by 1 - omega, so this path
+        # is checked against X_t = x0 + v0 t and V_t = v0 directly
+        for t in range(1, 6):
+            assert stagnation.one_particle_trajectory(0.9, -0.05, 1.0, t) == (0.9 - 0.05 * t,
+                                                                            -0.05)
 
     def test_matches_engine_simulation(self):
         params = make_params(0.5, 1.5, 1.5, 0, 1, 0.5, 1, 1)
