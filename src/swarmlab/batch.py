@@ -66,6 +66,7 @@ from .core import (
     PURPOSE_NOISE,
     PURPOSE_R,
     PURPOSE_S,
+    row_blocks,
     step_uniform,
     stream_base,
 )
@@ -504,13 +505,16 @@ def _checkpoints(checkpoints, first: int, steps: int) -> set:
     return wanted | {steps}
 
 
-def _attractor_chain(params: PsoParams, p_best: float, g_best: float, trials: int,
+def _attractor_chain(params: PsoParams, p_best: float, g_best: float, chains: slice,
                      master_seed: int, steps: int):
-    """Yields (t, X_t, noise) of `trials` fixed-attractor chains, t = 0..steps,
-    each X_t a new array: X_0 is the later of two starts within alpha of the
-    weighted attractor; noise is the N added to X_t (None at t = 0, delta = 0)."""
+    """Yields (t, X_t, noise) of the fixed-attractor chains chains.start to
+    chains.stop - 1, t = 0..steps, each X_t a new array: X_0 is the later of
+    two starts within alpha of the weighted attractor; noise is the N added
+    to X_t (None at t = 0, delta = 0).  A chain's draws are addressed by its
+    index, so a chain is the same whichever block runs it."""
     base_r, base_s, base_d, base_x = (
-        stream_base(master_seed, purpose, trials, 1, 1)[:, 0, 0]
+        stream_base(master_seed, purpose, chains.stop - chains.start, 1, 1,
+                    trial_offset=chains.start)[:, 0, 0]
         for purpose in (PURPOSE_R, PURPOSE_S, PURPOSE_NOISE, PURPOSE_INIT_X))
     w, phi1, phi2 = params.omega, params.phi1, params.phi2
     center = (phi1 * p_best + phi2 * g_best) / (phi1 + phi2) if phi1 + phi2 > 0 else 0.0
@@ -543,10 +547,18 @@ def run_fixed_attractor_ensemble(params: PsoParams, p_best: float, g_best: float
     chains; returns {t: positions (trials,)} snapshots at the checkpoints
     (always including the final step).  Negative steps, or a checkpoint
     outside [0, steps], raise ValueError.
+
+    The chains run in consecutive blocks of `core.BLOCK_CELLS` (one block
+    for that many or fewer), each to the last step before the next starts,
+    so a step's arrays stay near a core's cache; each block writes its part
+    of the preallocated snapshots, which hold the bits of one whole run.
     """
-    wanted = _checkpoints(checkpoints, 0, steps)
-    return {t: x for t, x, _ in _attractor_chain(params, p_best, g_best, trials,
-                                                 master_seed, steps) if t in wanted}
+    out = {t: np.empty(trials) for t in sorted(_checkpoints(checkpoints, 0, steps))}
+    for chains in row_blocks(trials):
+        for t, x, _ in _attractor_chain(params, p_best, g_best, chains, master_seed, steps):
+            if t in out:
+                out[t][chains] = x
+    return out
 
 
 @dataclass(frozen=True)
@@ -562,6 +574,8 @@ def run_improvement_counts(params: PsoParams, g_value: float, trials: int,
     """Event counting for the improvement-probability analysis on the
     fixed-attractor recurrence with both bests at g_value (noisy rule), with
     eps' = delta/1000, well inside the admissible eps' <= (1 - 0.4899) delta.
+    The chains run in the blocks of `run_fixed_attractor_ensemble`, and the
+    counts of the blocks are added in block order.
     """
     if params.delta <= 0:
         raise ValueError("improvement counting requires delta > 0")
@@ -571,13 +585,16 @@ def run_improvement_counts(params: PsoParams, g_value: float, trials: int,
     hi = g_value - d / 100.0 + eps_prime
     y_thresh = 0.4899 * d + eps_prime
     compound = y_tail = 0
-    for t, x, noise in _attractor_chain(params, g_value, g_value, trials, master_seed,
-                                        burn_in + keep_steps):
-        if t > burn_in:   # Y_t = X_t - N_t
-            compound += int(((x >= lo) & (x <= hi)).sum())
-            y_tail += int((np.abs((x - noise) - g_value) >= y_thresh).sum())
+    final = np.empty(trials)
+    for chains in row_blocks(trials):
+        for t, x, noise in _attractor_chain(params, g_value, g_value, chains, master_seed,
+                                            burn_in + keep_steps):
+            if t > burn_in:   # Y_t = X_t - N_t
+                compound += int(((x >= lo) & (x <= hi)).sum())
+                y_tail += int((np.abs((x - noise) - g_value) >= y_thresh).sum())
+        final[chains] = x
     return ImprovementCounts(samples=trials * keep_steps, compound_hits=compound,
-                             y_tail_hits=y_tail, final_positions=x)
+                             y_tail_hits=y_tail, final_positions=final)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""Shared primitives: parameter validation, objective functions, and the
+"""Shared primitives: parameter validation, objective functions, the
 counter-based hash every simulation draws from (a SplitMix64 finaliser over
-the draw's coordinates, in the style of Salmon et al., SC'11).
+the draw's coordinates, in the style of Salmon et al., SC'11), and the
+cache-sized blocks that the grid oracles and fixed-attractor chains run in.
 
 Everything in this module is immutable after construction and safe to share
 across threads.
@@ -277,3 +278,16 @@ def step_uniform(base: np.ndarray, step) -> np.ndarray:
     u = h.astype(np.float64)
     u *= 2.0 ** -53
     return u
+
+
+# Cells per block of a grid oracle or of the fixed-attractor chains: a block's
+# temporaries (256 KiB per double array) stay near a core's cache, where whole
+# 400 x 400 grids or 10^5 chains stream every temporary through memory.
+BLOCK_CELLS = 2 ** 15
+
+
+def row_blocks(rows: int, row_cells: int = 1) -> list:
+    """Slices that cover rows 0..rows-1 in order, each of the most whole rows
+    of `row_cells` cells that fit in `BLOCK_CELLS` (at least one row)."""
+    step = max(1, BLOCK_CELLS // max(1, row_cells))
+    return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]

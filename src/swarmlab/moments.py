@@ -18,11 +18,12 @@ Moment-state layout (all expectations):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PsoParams
+from .core import PsoParams, row_blocks
 
 __all__ = [
     "equilibrium_point",
@@ -69,8 +70,12 @@ def in_mean_square_region(omega, phi1, phi2):
     The positivity of phi1 + phi2 (rather than >= 0) keeps the process
     nondegenerate; it is also required by the mean-limit conditions.
     """
-    s = phi1 + phi2
-    return (omega >= 0) & (omega < 1) & (s > 0) & (f_one(omega, phi1, phi2) > 0)
+    return _mean_square_given_f1(omega, phi1, phi2, f_one(omega, phi1, phi2))
+
+
+def _mean_square_given_f1(omega, phi1, phi2, f1):
+    """`in_mean_square_region` where f1 is f_one(omega, phi1, phi2)."""
+    return (omega >= 0) & (omega < 1) & (phi1 + phi2 > 0) & (f1 > 0)
 
 
 def f_one_asymmetric_variant(omega, phi1, phi2):
@@ -259,12 +264,16 @@ def char_cubic_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(roots)))
 
 
-def second_moment_radius_grid(omega, phi1, phi2) -> np.ndarray:
+def second_moment_radius_grid(omega, phi1, phi2):
     """Spectral radius of the homogeneous second-moment block, vectorised.
 
-    omega/phi1/phi2 broadcast together.  Used to adjudicate the f(1)
-    stability boundary on dense parameter grids, so every cell is solved at
-    once from the block's characteristic cubic
+    omega/phi1/phi2 broadcast together; scalars give a scalar.  Used to
+    adjudicate the f(1) stability boundary on dense parameter grids.  The
+    cells are solved in blocks of whole rows along the first axis, about
+    `core.BLOCK_CELLS` cells each, written into one preallocated result:
+    every cell's arithmetic is the same as in one whole-grid pass, and a
+    400 x 400 grid's temporaries stay near a core's cache.  A cell is solved
+    from the second-moment block's characteristic cubic
 
         lambda^3 + c2 lambda^2 + c1 lambda + c0,
         c2 = w - E[a^2],  c1 = w (2 E[a]^2 - E[a^2] - w),  c0 = -w^3,
@@ -282,11 +291,18 @@ def second_moment_radius_grid(omega, phi1, phi2) -> np.ndarray:
     closely (to about 1e-10) only as phi1, phi2 -> 0 near omega = 1, where
     the three roots cluster.
     """
+    shape = np.broadcast_shapes(np.shape(omega), np.shape(phi1), np.shape(phi2))
+    # at least one axis to block along; scalars are one block of one cell
     w, phi1, phi2 = np.broadcast_arrays(
-        np.asarray(omega, dtype=np.float64),
-        np.asarray(phi1, dtype=np.float64),
-        np.asarray(phi2, dtype=np.float64),
-    )
+        *(np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in (omega, phi1, phi2)))
+    out = np.empty(w.shape)
+    for rows in row_blocks(len(out), math.prod(out.shape[1:])):
+        out[rows] = _radius_of_cells(w[rows], phi1[rows], phi2[rows])
+    return out.reshape(shape)[()]
+
+
+def _radius_of_cells(w, phi1, phi2):
+    """`second_moment_radius_grid` on arrays of one shape."""
     ea, ea2 = _a_moments(w, phi1, phi2)
     c2 = w - ea2
     c1 = w * (2.0 * ea * ea - ea2 - w)

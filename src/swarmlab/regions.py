@@ -2,7 +2,9 @@
 
 All predicates accept scalars or broadcasting arrays and use strict
 inequalities as stated; the scanner samples cell centres (half-cell offset)
-so exact boundaries are never evaluated.
+so exact boundaries are never evaluated.  The noisy-FHT and personal-best
+rules are written once, on f(1) and the two masks they refine, for the
+public predicates and the scanner alike.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import f_one, in_mean_square_region
+from .core import row_blocks
+from .moments import _mean_square_given_f1, f_one, in_mean_square_region
 
 __all__ = [
     "in_deterministic_region",
@@ -37,7 +40,9 @@ def in_deterministic_region(omega, phi1, phi2):
 def in_lyapunov_region(omega, phi1, phi2):
     """|omega| < 1, omega != 0, and phi1 + phi2 < 2 (1 - 2|omega| + omega^2) / (1 + omega)."""
     s = phi1 + phi2
-    bound = 2.0 * (1.0 - 2.0 * np.abs(omega) + omega * omega) / (1.0 + omega)
+    # the bound is 0/0 at omega = -1, where |omega| < 1 already fails
+    with np.errstate(invalid="ignore"):
+        bound = 2.0 * (1.0 - 2.0 * np.abs(omega) + omega * omega) / (1.0 + omega)
     return (np.abs(omega) < 1) & (omega != 0) & (s < bound)
 
 
@@ -47,9 +52,14 @@ def in_noisy_fht_region(omega, phi1, phi2):
     The remaining hypothesis of the finite-hitting-time result (delta <=
     epsilon) involves run-time quantities and is checked at experiment level.
     """
-    return (in_mean_square_region(omega, phi1, phi2)
-            & in_deterministic_region(omega, phi1, phi2)
-            & (f_one(omega, phi1, phi2) > 1.0 / 3.0))
+    f1 = f_one(omega, phi1, phi2)
+    return _noisy_fht(f1, _mean_square_given_f1(omega, phi1, phi2, f1),
+                      in_deterministic_region(omega, phi1, phi2))
+
+
+def _noisy_fht(f1, mean_square, deterministic):
+    """`in_noisy_fht_region` from f(1) and the mean-square and deterministic masks."""
+    return mean_square & deterministic & (f1 > 1.0 / 3.0)
 
 
 def in_pbest_convergence_region(omega, phi1, phi2):
@@ -57,10 +67,17 @@ def in_pbest_convergence_region(omega, phi1, phi2):
     approaches the global best: the mean-square and deterministic conditions
     plus f(1) > max(phi1^2, phi2^2) (1 + omega) / 6.
     """
+    f1 = f_one(omega, phi1, phi2)
+    return _pbest_convergence(omega, phi1, phi2, f1,
+                              _mean_square_given_f1(omega, phi1, phi2, f1),
+                              in_deterministic_region(omega, phi1, phi2))
+
+
+def _pbest_convergence(omega, phi1, phi2, f1, mean_square, deterministic):
+    """`in_pbest_convergence_region` from f(1) and the mean-square and
+    deterministic masks."""
     bound = np.maximum(phi1 * phi1, phi2 * phi2) * (1.0 + omega) / 6.0
-    return (in_mean_square_region(omega, phi1, phi2)
-            & in_deterministic_region(omega, phi1, phi2)
-            & (f_one(omega, phi1, phi2) > bound))
+    return mean_square & deterministic & (f1 > bound)
 
 
 @dataclass(frozen=True)
@@ -98,6 +115,13 @@ def _cell_centres(lo, hi, resolution) -> np.ndarray:
 def scan_regions(omega_range=(0.0, 1.0), phi_range=(0.0, 4.0), resolution=400) -> RegionGrid:
     """Region memberships on a resolution x resolution grid of cell centres.
 
+    The grid is filled in blocks of whole omega rows, about
+    `core.BLOCK_CELLS` cells each, written into preallocated fields.  A
+    block computes f(1), the deterministic mask and the mean-square mask
+    once and derives the noisy-FHT and personal-best masks from them, with
+    the rules the public predicates use, so every field has the bits of its
+    predicate on the whole meshgrid.
+
     Raises ValueError for a resolution below 2, and for a window whose
     bounds or width are not finite or whose cell centres are not strictly
     increasing and strictly inside it.
@@ -106,17 +130,20 @@ def scan_regions(omega_range=(0.0, 1.0), phi_range=(0.0, 4.0), resolution=400) -
         raise ValueError("resolution must be >= 2 per axis")
     omega = _cell_centres(*omega_range, resolution)
     phi = _cell_centres(*phi_range, resolution)
-    OM, PH = np.meshgrid(omega, phi, indexing="ij")
-    return RegionGrid(
-        omega=omega,
-        phi=phi,
-        f1=f_one(OM, PH, PH),
-        deterministic=in_deterministic_region(OM, PH, PH),
-        lyapunov=in_lyapunov_region(OM, PH, PH),
-        mean_square=in_mean_square_region(OM, PH, PH),
-        noisy_fht=in_noisy_fht_region(OM, PH, PH),
-        pbest_convergence=in_pbest_convergence_region(OM, PH, PH),
-    )
+    shape = (resolution, resolution)
+    f1 = np.empty(shape)
+    det, lyap, ms, noisy, pbest = (np.empty(shape, dtype=bool) for _ in range(5))
+    PH = phi[None, :]
+    for rows in row_blocks(resolution, resolution):
+        OM = omega[rows, None]
+        f1[rows] = f = f_one(OM, PH, PH)
+        det[rows] = d = in_deterministic_region(OM, PH, PH)
+        lyap[rows] = in_lyapunov_region(OM, PH, PH)
+        ms[rows] = m = _mean_square_given_f1(OM, PH, PH, f)
+        noisy[rows] = _noisy_fht(f, m, d)
+        pbest[rows] = _pbest_convergence(OM, PH, PH, f, m, d)
+    return RegionGrid(omega=omega, phi=phi, f1=f1, deterministic=det, lyapunov=lyap,
+                      mean_square=ms, noisy_fht=noisy, pbest_convergence=pbest)
 
 
 REGIONS_CSV_HEADER = "omega,phi,f1,deterministic,lyapunov,mean_square,noisy_fht,pbest_convergence"

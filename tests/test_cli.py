@@ -371,6 +371,15 @@ class TestManifest:
 
 
 class TestSubcommands:
+    # the window's omega cells include -1 exactly, where the Lyapunov bound
+    # is 0/0
+    def test_regions_through_omega_minus_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["regions", "--omega-min", "-1.5", "--omega-max", "1.5",
+                     "--resolution", "333", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "\n-1,0.00600600601," in (out / "regions.csv").read_text()
+
     def test_fht_csv_schema(self, tmp_path):
         out = tmp_path / "o"
         assert main(["fht", "--preset", "noisy-sphereplus",

@@ -1,5 +1,6 @@
 """Golden digests: the sha-256 of every artifact of small CLI runs, of the
-fixed-attractor runners' arrays and of a diverging hitting-time run's, pinned
+fixed-attractor runners' arrays, of the spectral-radius grid and of a
+diverging hitting-time run's, pinned
 to the bytes the code wrote when they were taken.  A change meant to leave
 every output byte-identical must leave these as they are.
 
@@ -14,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from swarmlab import batch
+from swarmlab import batch, moments
 from swarmlab.cli import main
 from swarmlab.core import make_params, sphere
 
@@ -51,6 +52,8 @@ CLI_RUNS = {
                             "--override", "steps=5000", "--override", "window=2000",
                             "--seed", "5"],
     "regions-svg": ["regions", "--resolution", "40", "--svg"],
+    # 160 000 cells: several of the scan's cell blocks
+    "regions-400": ["regions", "--resolution", "400"],
 }
 
 # artifact name -> sha-256 of its bytes, per run
@@ -105,6 +108,10 @@ DIGESTS = {
         "regions.csv": "161a756d698f10d78cd3982d82a69186b9fb3ff7dfd901a80d3833d36939236e",
         "regions.svg": "a9b0b4a17e4a50480406fa5bfec8fadbef2fbe7d95301724153df742b80a8bfc",
     },
+    "regions-400": {
+        "manifest.txt": "0a27f3c21afecd45dd837c2bb115e46c4dc03bb4653da9c09ff6fc550c489b27",
+        "regions.csv": "0466fee4b4f5932e3be9bae3c99ad78dec3288aa69ebdbde2d7477a240efa385",
+    },
 }
 
 
@@ -119,10 +126,10 @@ def test_cli_artifacts_byte_identical(tmp_path, name):
     assert got == DIGESTS[name]
 
 
-def _ensemble_digest(params, p_best, g_best):
-    snaps = batch.run_fixed_attractor_ensemble(params, p_best, g_best, trials=64,
-                                               steps=300, master_seed=11,
-                                               checkpoints=(1, 2, 37, 150))
+def _ensemble_digest(params, p_best, g_best, trials=64, steps=300, checkpoints=(1, 2, 37, 150)):
+    snaps = batch.run_fixed_attractor_ensemble(params, p_best, g_best, trials=trials,
+                                               steps=steps, master_seed=11,
+                                               checkpoints=checkpoints)
     h = hashlib.sha256()
     for t in sorted(snaps):
         h.update(str(t).encode() + snaps[t].tobytes())
@@ -136,6 +143,38 @@ def _ensemble_digest(params, p_best, g_best):
 def test_fixed_attractor_ensemble_byte_identical(delta, p_best, g_best, want):
     params = make_params(0.4, 1.3, 1.7, delta, 1.0, 1e-2, 1, 1)
     assert _ensemble_digest(params, p_best, g_best) == want
+
+
+# 70 000 chains run as several chain blocks, the last one partial
+@pytest.mark.parametrize("delta, p_best, g_best, want", [
+    (0.0, 1.0, 0.0, "aa6b7976f5de80667292c133ab53be3755b351da22a6d40fa33e54815b3dbffd"),
+    (0.01, 0.3, -0.7, "c120353a478e594d40a8c5c7e02d0135fc15e9ea913df627c6eb7e36b6c56ae3"),
+])
+def test_fixed_attractor_ensemble_of_many_chains_byte_identical(delta, p_best, g_best, want):
+    params = make_params(0.4, 1.3, 1.7, delta, 1.0, 1e-2, 1, 1)
+    assert _ensemble_digest(params, p_best, g_best, trials=70_000, steps=12,
+                            checkpoints=(1, 5)) == want
+
+
+def test_improvement_counts_of_many_chains_byte_identical():
+    params = make_params(0.4, 1.5, 1.5, 0.01, 1.0, 1e-2, 1, 1)
+    counts = batch.run_improvement_counts(params, 1.0, trials=70_000, burn_in=4,
+                                          keep_steps=8, master_seed=13)
+    assert (counts.samples, counts.compound_hits, counts.y_tail_hits) == (560000, 93755, 443936)
+    assert _sha256(counts.final_positions.tobytes()) == (
+        "0a3898c9377cc30c6ed6360c01be0e59c1fcdc2c07dc395d87280f9a3a714280")
+
+
+# the default window at resolution 400, as `regions` scans it; unlike the
+# other digests this one rests on numpy's cbrt, arccos and cos
+def test_radius_grid_byte_identical():
+    res = 400
+    omega = (np.arange(res) + 0.5) / res
+    phi = 4.0 * (np.arange(res) + 0.5) / res
+    OM, PH = np.meshgrid(omega, phi, indexing="ij")
+    got = moments.second_moment_radius_grid(OM, PH, PH)
+    assert _sha256(got.tobytes()) == (
+        "9df382c004b6c892945f673937afd843c691ce12eea3fedf90c5d6d2ca052fac")
 
 
 def test_improvement_counts_byte_identical():

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swarmlab import moments, regions
-from swarmlab.core import make_params
+from swarmlab.core import make_params, row_blocks
 
 from moments_reference import (
     a_moments,
@@ -408,6 +410,52 @@ class TestRadiusGridClosedForm:
         want = second_moment_radius(OM, PH, PH)
         assert np.abs(got / want - 1.0).max() <= 1e-10
         assert ((got < 1) == (want < 1)).all()
+
+
+class TestRadiusGridBlocks:
+    """The grid runs in row blocks; each cell must have the bits of a call
+    on its row alone.  333 x 333 cells fill several blocks, the last partial."""
+
+    @staticmethod
+    def _axes(res=333):
+        omega = -1.5 + (np.arange(res) + 0.5) * 3.0 / res
+        phi = -1.0 + (np.arange(res) + 0.5) * 6.0 / res
+        return omega, phi
+
+    def test_meshgrid_equals_row_calls(self):
+        omega, phi = self._axes()
+        OM, PH = np.meshgrid(omega, phi, indexing="ij")
+        assert len(row_blocks(*OM.shape)) > 1
+        got = moments.second_moment_radius_grid(OM, PH, PH)
+        rows = np.array([moments.second_moment_radius_grid(w, p, p)
+                         for w, p in zip(OM, PH)])
+        assert got.tobytes() == rows.tobytes()
+
+    def test_broadcast_inputs_equal_row_calls(self):
+        omega, phi = self._axes()
+        got = moments.second_moment_radius_grid(omega[:, None], phi[None, :], phi[None, :])
+        assert got.shape == (333, 333)
+        rows = np.array([moments.second_moment_radius_grid(w, phi, phi) for w in omega])
+        assert got.tobytes() == rows.tobytes()
+
+    def test_scalars_give_a_scalar(self):
+        got = moments.second_moment_radius_grid(0.4, 1.5, 1.5)
+        assert np.ndim(got) == 0
+        assert got == moments.second_moment_radius_grid(np.array([0.4]), 1.5, 1.5)[0]
+
+    def test_working_set_of_the_default_grid(self):
+        # 24.3 MB when every cell was solved in one pass; a full-grid
+        # double temporary is 1.28 MB
+        omega = (np.arange(400) + 0.5) / 400
+        OM, PH = np.meshgrid(omega, 4.0 * omega, indexing="ij")
+        moments.second_moment_radius_grid(OM, PH, PH)
+        tracemalloc.start()
+        try:
+            moments.second_moment_radius_grid(OM, PH, PH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestRegionEquivalence:

@@ -1,9 +1,11 @@
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from swarmlab import moments, regions
+from swarmlab.core import row_blocks
 from swarmlab.regions import RegionGrid
 
 from regions_reference import ref_render_regions_svg, ref_write_regions_csv
@@ -224,3 +226,56 @@ class TestWritersMatchReference:
         assert np.any((f1 == 0) & np.signbit(f1))               # -0.0
         assert np.any((f1 != 0) & (np.abs(f1) < 2.2250738585072014e-308))   # subnormal
         self._assert_same_bytes(grid, tmp_path)
+
+
+# 333 x 333 = 110 889 cells fill several of the scan's row blocks, the last
+# one partial; the second window holds omega = -1 exactly
+_BLOCK_WINDOWS = [((0.0, 1.0), (0.0, 4.0)), ((-1.5, 1.5), (-1.0, 5.0))]
+
+
+class TestScanBlocks:
+    @pytest.mark.parametrize("window", _BLOCK_WINDOWS)
+    def test_fields_equal_predicates_on_the_whole_meshgrid(self, window):
+        grid = regions.scan_regions(*window, 333)
+        assert len(row_blocks(333, 333)) > 1
+        OM, PH = np.meshgrid(grid.omega, grid.phi, indexing="ij")
+        want = {
+            "f1": moments.f_one(OM, PH, PH),
+            "deterministic": regions.in_deterministic_region(OM, PH, PH),
+            "lyapunov": regions.in_lyapunov_region(OM, PH, PH),
+            "mean_square": regions.in_mean_square_region(OM, PH, PH),
+            "noisy_fht": regions.in_noisy_fht_region(OM, PH, PH),
+            "pbest_convergence": regions.in_pbest_convergence_region(OM, PH, PH),
+        }
+        for field, value in want.items():
+            got = getattr(grid, field)
+            assert got.dtype == value.dtype and got.shape == value.shape, field
+            assert got.tobytes() == value.tobytes(), field
+
+    def test_working_set_of_the_default_scan(self):
+        # 11.1 MB when every predicate ran on the whole 400 x 400 meshgrid;
+        # a full-grid double temporary is 1.28 MB
+        regions.scan_regions(resolution=400)
+        tracemalloc.start()
+        try:
+            regions.scan_regions(resolution=400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+class TestLyapunovAtOmegaMinusOne:
+    """The bound 2 (1 - 2|omega| + omega^2) / (1 + omega) is 0/0 at omega = -1;
+    tier-1 turns a RuntimeWarning into an error."""
+
+    def test_predicate_is_false_without_a_warning(self):
+        assert not regions.in_lyapunov_region(-1.0, 0.5, 0.5)
+        assert not regions.in_lyapunov_region(np.array([-1.0, -0.5]), 0.0, 0.0)[0]
+
+    def test_scan_through_omega_minus_one(self):
+        grid = regions.scan_regions((-1.5, 1.5), (0.0, 4.0), 333)
+        row = np.flatnonzero(grid.omega == -1.0)
+        assert row.size == 1
+        assert not grid.lyapunov[row].any()
+        assert grid.lyapunov.any()
