@@ -30,11 +30,11 @@ position, so each later step recomputes the same bits.  Every `_FREEZE_EVERY`
 steps, `step_until_hit` and `run_two_particle_demo` work out from the current
 state which trials the next step leaves with their bits (`_frozen`): the
 hitting-time loop drops them as censored, and once every trial left is frozen
-it advances `t` to the last sweep within the budget without stepping; the demo
-stops once every trial is.  Their outputs, and every sweep an observer sees,
-are those of stepping to the end.  The swarm keeps no count it can compute:
-`eval_count` is m (t + 1), and a draw block is sized for the batch when it is
-hashed.
+it sets `t` to the last sweep within the budget in one jump; the demo stops
+once every trial is.  Their outputs, and the state an observer sees after the
+jump, are those of stepping to the end.  The swarm keeps no count it can
+compute: `eval_count` is m (t + 1), and a draw block is sized for the batch
+when it is hashed.
 
 At narrow shapes (about 100 trials) a step costs its numpy calls, not its
 arithmetic, so the calls per step are few without moving a bit: each draw
@@ -151,12 +151,8 @@ class BatchSwarm:
                     need[:] = False
                 attempt += 1
         elif init == "explicit":
-            X0 = np.asarray(positions, dtype=np.float64)
-            V0 = np.asarray(velocities, dtype=np.float64)
-            if X0.ndim == 1:
-                X0 = X0[:, None]
-            if V0.ndim == 1:
-                V0 = V0[:, None]
+            X0, V0 = (np.asarray(a, dtype=np.float64) for a in (positions, velocities))
+            X0, V0 = (a[:, None] if a.ndim == 1 else a for a in (X0, V0))
             if X0.shape not in ((m, n), (trials, m, n)) or V0.shape != X0.shape:
                 raise ValueError(f"explicit init must have shape ({m}, {n}) "
                                  f"or ({trials}, {m}, {n})")
@@ -314,11 +310,11 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *, observe=None) -> FhtBatchR
     the batch (`keep`), except the last, so the swarm ends in its hit state.
     A trial frozen at a fixed point (`_frozen`, read off the state at each t > 0
     divisible by `_FREEZE_EVERY`) never hits: it leaves as censored; once
-    every trial left is frozen, the remaining sweeps advance `t` without
-    stepping, and the swarm ends as stepping would leave it.  `observe(swarm)`
-    runs after each sweep, stepped or not.  A trial's final global-best value
-    is the least value it evaluated; on the sphere that is the least squared
-    norm of every position it visited.
+    every trial left is frozen, `t` jumps to the last sweep, where stepping
+    would have left the same state.  `observe(swarm)` runs after each step and
+    after the jump, so `swarm.t` may advance by more than 1 between calls.  A
+    trial's final global-best value is the least value it evaluated; on the
+    sphere that is the least squared norm of every position it visited.
     """
     m = swarm.params.m
     last = budget // m - 1   # the last t whose sweep fits in the budget
@@ -354,16 +350,13 @@ def step_until_hit(swarm: BatchSwarm, budget: int, *, observe=None) -> FhtBatchR
             rows = np.flatnonzero(~leave)
             live = live[rows]
             swarm.keep(rows)
-        if idle:   # each later step would leave the state as it is
-            if observe is None:
-                swarm.t = last
-            while swarm.t < last:
-                swarm.t += 1
-                observe(swarm)
         if swarm.t >= last:
             final_g[live] = swarm.fG
             break
-        swarm.step()
+        if idle:   # each later step would leave the state as it is
+            swarm.t = last
+        else:
+            swarm.step()
         if observe is not None:
             observe(swarm)
     return FhtBatchResult(hit_evals=hit_evals, final_gbest_value=final_g)

@@ -246,12 +246,12 @@ def _outcome(hit_evals: int, budget: int) -> tuple:
     return ("hit", hit_evals) if hit_evals >= 0 else ("censored", budget)
 
 
-def _trajectory_rows(swarm) -> list:
-    """trajectory.csv lines for trial 0's current state, one per particle per
-    dimension, each value as the repr of a Python float."""
+def _trajectory_rows(swarm, t) -> list:
+    """trajectory.csv lines for trial 0's current state labelled step t, one
+    per particle per dimension, each value as the repr of a Python float."""
     X, V, P = (a[:, 0].tolist() for a in (swarm.X, swarm.V, swarm.P))
     G, fg = swarm.G[0].tolist(), float(swarm.fG[0])
-    return [f"{swarm.t},{i},{j},{X[i][j]!r},{V[i][j]!r},{P[i][j]!r},{G[j]!r},{fg!r}"
+    return [f"{t},{i},{j},{X[i][j]!r},{V[i][j]!r},{P[i][j]!r},{G[j]!r},{fg!r}"
             for i in range(len(X)) for j in range(len(G))]
 
 
@@ -265,11 +265,14 @@ def cmd_simulate(args) -> int:
     stride = cfg.get("stride", max(1, budget // (1000 * params.m)))
     if stride < 1:
         raise CliError(f"stride must be at least 1, got {stride}")
-    rows = ["t,particle,dim,x,v,p,g,f_g", *_trajectory_rows(swarm)]
+    rows = ["t,particle,dim,x,v,p,g,f_g", *_trajectory_rows(swarm, 0)]
+    due = stride   # the next step to record
 
-    def observe(s):
-        if s.t % stride == 0:
-            rows.extend(_trajectory_rows(s))
+    def observe(s):   # after a jump over frozen sweeps, each repeats s's bits
+        nonlocal due
+        while due <= s.t:
+            rows.extend(_trajectory_rows(s, due))
+            due += stride
 
     result = engine.run_until_hit(swarm, budget, observe=observe)
     out = _out_dir(args)

@@ -122,9 +122,9 @@ def scan_regions(omega_range=(0.0, 1.0), phi_range=(0.0, 4.0), resolution=400) -
     the rules the public predicates use, so every field has the bits of its
     predicate on the whole meshgrid.
 
-    Raises ValueError for a resolution below 2, and for a window whose
-    bounds or width are not finite or whose cell centres are not strictly
-    increasing and strictly inside it.
+    Raises ValueError for a resolution below 2, for a window whose bounds or
+    width are not finite or whose cell centres are not strictly increasing
+    and strictly inside it, and for one where some cell's f(1) is not finite.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
@@ -134,14 +134,18 @@ def scan_regions(omega_range=(0.0, 1.0), phi_range=(0.0, 4.0), resolution=400) -
     f1 = np.empty(shape)
     det, lyap, ms, noisy, pbest = (np.empty(shape, dtype=bool) for _ in range(5))
     PH = phi[None, :]
-    for rows in row_blocks(resolution, resolution):
-        OM = omega[rows, None]
-        f1[rows] = f = f_one(OM, PH, PH)
-        det[rows] = d = in_deterministic_region(OM, PH, PH)
-        lyap[rows] = in_lyapunov_region(OM, PH, PH)
-        ms[rows] = m = _mean_square_given_f1(OM, PH, PH, f)
-        noisy[rows] = _noisy_fht(f, m, d)
-        pbest[rows] = _pbest_convergence(OM, PH, PH, f, m, d)
+    # a bound overflows only where its flag is False; f(1) is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in row_blocks(resolution, resolution):
+            OM = omega[rows, None]
+            f1[rows] = f = f_one(OM, PH, PH)
+            det[rows] = d = in_deterministic_region(OM, PH, PH)
+            lyap[rows] = in_lyapunov_region(OM, PH, PH)
+            ms[rows] = m = _mean_square_given_f1(OM, PH, PH, f)
+            noisy[rows] = _noisy_fht(f, m, d)
+            pbest[rows] = _pbest_convergence(OM, PH, PH, f, m, d)
+    if not np.isfinite(f1).all():
+        raise ValueError(f"f(1) overflows on omega {omega_range!r} x phi {phi_range!r}")
     return RegionGrid(omega=omega, phi=phi, f1=f1, deterministic=det, lyapunov=lyap,
                       mean_square=ms, noisy_fht=noisy, pbest_convergence=pbest)
 
@@ -222,10 +226,10 @@ def render_regions_svg(grid: RegionGrid, path) -> None:
     each rectangle is done in Python.
     """
     width, height, margin = 640, 480, 50
-    o_lo = grid.omega[0] - (grid.omega[1] - grid.omega[0]) / 2
-    o_hi = grid.omega[-1] + (grid.omega[1] - grid.omega[0]) / 2
-    p_lo = grid.phi[0] - (grid.phi[1] - grid.phi[0]) / 2
-    p_hi = grid.phi[-1] + (grid.phi[1] - grid.phi[0]) / 2
+    cell_o = grid.omega[1] - grid.omega[0]
+    cell_p = grid.phi[1] - grid.phi[0]
+    o_lo, o_hi = grid.omega[0] - cell_o / 2, grid.omega[-1] + cell_o / 2
+    p_lo, p_hi = grid.phi[0] - cell_p / 2, grid.phi[-1] + cell_p / 2
 
     def sx(w):
         return margin + (w - o_lo) / (o_hi - o_lo) * (width - 2 * margin)
@@ -233,8 +237,6 @@ def render_regions_svg(grid: RegionGrid, path) -> None:
     def sy(p):
         return height - margin - (p - p_lo) / (p_hi - p_lo) * (height - 2 * margin)
 
-    cell_o = grid.omega[1] - grid.omega[0]
-    cell_p = grid.phi[1] - grid.phi[0]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',

@@ -31,6 +31,13 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_region_window_whose_f1_overflows(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["regions", "--omega-max", "1e200", "--resolution", "3", "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == ("error: f(1) overflows on omega (0.0, 1e+200) "
+                                           "x phi (0.0, 4.0)\n")
+
     def test_invalid_params(self, tmp_path):
         rc = main(["fht", "--preset", "noisy-sphereplus", "--override", "alpha=-1",
                    "--seed", "1", "--out", str(tmp_path / "o")])

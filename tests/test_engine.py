@@ -549,21 +549,35 @@ class TestFreezeExit:
         assert ((hit_evals < 0) & at_rest).any() and ((hit_evals < 0) & ~at_rest).any()
         assert sum(frozen) > 0
 
-    @pytest.mark.parametrize("budget", [1000, 1088, 1089, 3000])
-    def test_frozen_one_trial_run_ends_as_stepping_ends(self, budget):
+    # stride 1 keeps each budget's own id; 7001's last sweep, 7000, is a
+    # multiple of stride 7
+    @pytest.mark.parametrize("budget, stride", [
+        pytest.param(budget, stride, id=str(budget) if stride == 1 else f"{budget}-stride{stride}")
+        for stride in (1, 7) for budget in (1000, 1088, 1089, 3000, 7001)])
+    def test_frozen_one_trial_run_ends_as_stepping_ends(self, budget, stride):
         # the prop1-bad-init particle repeats its state bit for bit from step
-        # 1072; the first check after that is at step 1088
+        # 1072; the first check after that is at step 1088, where the run
+        # jumps to its last sweep.  The observer records rows as
+        # `cli.cmd_simulate`'s does: every stride multiple up to the swarm's t
         runs = [_explicit([0.9], [-0.05], sphere(), seed=1, omega=0.5, epsilon=0.5)
                 for _ in range(2)]
         # repr tells signed zeros apart, so equal rows are equal bits
-        rows = cli._trajectory_rows(runs[0])
-        r = engine.run_until_hit(runs[0], budget,
-                                 observe=lambda s: rows.extend(cli._trajectory_rows(s)))
+        rows = cli._trajectory_rows(runs[0], 0)
+        due = stride
+
+        def observe(s):
+            nonlocal due
+            while due <= s.t:
+                rows.extend(cli._trajectory_rows(s, due))
+                due += stride
+
+        r = engine.run_until_hit(runs[0], budget, observe=observe)
         plain = runs[1]
-        want = cli._trajectory_rows(plain)
+        want = cli._trajectory_rows(plain, 0)
         while plain.eval_count + 1 <= budget:
             plain.step()
-            want += cli._trajectory_rows(plain)
+            if plain.t % stride == 0:
+                want += cli._trajectory_rows(plain, plain.t)
         assert r.hit_evals[0] == -1 and r.final_gbest_value[0] == plain.fG[0]
         assert rows == want
         a, b = runs
@@ -573,6 +587,17 @@ class TestFreezeExit:
         a.step()
         b.step()
         assert np.array_equal(a.X.view(np.uint64), b.X.view(np.uint64))
+
+    def test_a_frozen_run_jumps_to_its_last_sweep_once(self, monkeypatch):
+        # prop1-bad-init at seed 7 is frozen by step 1088: the 998 911 sweeps
+        # after it cost one jump and one observer call, not one call each
+        steps, seen = [], []
+        step = batch.BatchSwarm.step
+        monkeypatch.setattr(batch.BatchSwarm, "step", lambda s: steps.append(s.t) or step(s))
+        swarm = _explicit([0.9], [-0.05], sphere(), seed=7, omega=0.5, epsilon=0.5)
+        res = batch.step_until_hit(swarm, 10**6, observe=lambda s: seen.append(s.t))
+        assert len(steps) == 1088 and len(seen) == 1089 and swarm.t == 999_999
+        assert seen[-2:] == [1088, 999_999] and res.hit_evals[0] == -1
 
     def test_a_swarm_at_rest_on_one_point_is_frozen(self):
         sw = _at_rest(_params(m=2), np.array([[2.0], [2.0]]))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -279,3 +280,28 @@ class TestLyapunovAtOmegaMinusOne:
         assert row.size == 1
         assert not grid.lyapunov[row].any()
         assert grid.lyapunov.any()
+
+
+class TestOverflowingWindows:
+    """A window `_cell_centres` accepts scans without a numpy warning, and one
+    where some cell's f(1) is not finite is rejected."""
+
+    @pytest.mark.parametrize("omega_range, phi_range", [
+        ((0.0, 1.0), (0.0, 1e200)),    # phi * phi overflows; f(1) is NaN
+        ((0.0, 1e200), (0.0, 4.0)),    # omega**2 overflows; f(1) is -inf
+    ], ids=["phi-1e200", "omega-1e200"])
+    def test_a_window_whose_f1_overflows_is_rejected(self, omega_range, phi_range):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"f\(1\) overflows"):
+                regions.scan_regions(omega_range, phi_range, 3)
+
+    def test_a_finite_f1_with_an_overflowing_lyapunov_bound_is_accepted(self):
+        # omega**2 stays finite (1.56e308 at the top cell), but twice the
+        # Lyapunov bound's numerator overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = regions.scan_regions((0.0, 1.5e154), (0.0, 1e-10), 3)
+        assert np.isfinite(grid.f1).all()
+        assert not grid.lyapunov.any()
+        assert np.array_equal(grid.f1, moments.f_one(grid.omega[:, None], grid.phi, grid.phi))
