@@ -110,13 +110,22 @@ def _global_best(P, fP):
 
 
 class BatchSwarm:
-    """Swarm state for `trials` independent runs advanced synchronously."""
+    """Swarm state for `trials` independent runs advanced synchronously.
+
+    The start follows from its data.  Without positions and velocities both
+    are drawn uniform on [-alpha, alpha], and with require_nonneg_gbest a
+    trial without a nonnegative position is drawn again.  With both, they
+    are the start, of shape (m, n) for every trial or (trials, m, n).  One
+    without the other is a ValueError.
+    """
 
     def __init__(self, params: PsoParams, objective: ObjectiveFn, trials: int,
-                 master_seed: int, trial_offset: int = 0, init: str = "random",
-                 positions=None, velocities=None, require_nonneg_gbest: bool = False):
+                 master_seed: int, trial_offset: int = 0, positions=None,
+                 velocities=None, require_nonneg_gbest: bool = False):
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
+        if (positions is None) != (velocities is None):
+            raise ValueError("an explicit start needs both positions and velocities")
         m, n = params.m, params.n
         self.params = params
         self.objective = objective
@@ -131,7 +140,7 @@ class BatchSwarm:
             base(purpose) if weight else None
             for purpose, weight in ((PURPOSE_R, params.phi1), (PURPOSE_S, params.phi2),
                                     (PURPOSE_NOISE, params.delta)))
-        if init == "random":
+        if positions is None:
             base_x, base_v = base(PURPOSE_INIT_X), base(PURPOSE_INIT_V)
             X = np.empty((m, trials, n))
             V = np.empty((m, trials, n))
@@ -150,7 +159,7 @@ class BatchSwarm:
                 else:
                     need[:] = False
                 attempt += 1
-        elif init == "explicit":
+        else:
             X0, V0 = (np.asarray(a, dtype=np.float64) for a in (positions, velocities))
             X0, V0 = (a[:, None] if a.ndim == 1 else a for a in (X0, V0))
             if X0.shape not in ((m, n), (trials, m, n)) or V0.shape != X0.shape:
@@ -165,8 +174,6 @@ class BatchSwarm:
             if require_nonneg_gbest and not (X >= 0).any(axis=(0, 2)).all():
                 raise ValueError("require_nonneg_gbest needs a nonnegative position "
                                  "in every trial's explicit start")
-        else:
-            raise ValueError(f"unknown init mode {init!r}")
         self.X = X
         self.V = V
         self.P = X.copy()
@@ -399,7 +406,7 @@ def run_two_particle_demo(params: PsoParams, objective: ObjectiveFn, x0, v0,
         raise ValueError("two-particle demo requires m=2, n=1")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    swarm = BatchSwarm(params, objective, trials, master_seed, init="explicit",
+    swarm = BatchSwarm(params, objective, trials, master_seed,
                        positions=np.asarray(x0, dtype=np.float64),
                        velocities=np.asarray(v0, dtype=np.float64))
     radius = params.epsilon
@@ -461,7 +468,7 @@ def run_counterexample_batch(params: PsoParams, objective: ObjectiveFn,
         raise ValueError("counterexample demo requires m=2, n=1")
     if not 1 <= window <= steps:
         raise ValueError(f"window must be in [1, steps = {steps}], got {window}")
-    swarm = BatchSwarm(params, objective, trials, master_seed, init="explicit",
+    swarm = BatchSwarm(params, objective, trials, master_seed,
                        positions=np.array([[0.0], [1.0]]),
                        velocities=np.zeros((2, 1)))
     updates = np.zeros((params.m, trials), dtype=np.int64)
@@ -611,8 +618,7 @@ def run_pbest_gap_batch(params: PsoParams, objective: ObjectiveFn, trials: int,
     base_v = stream_base(master_seed, PURPOSE_INIT_V, trials, m, n)
     X0 = params.alpha * step_uniform(base_x, 0)
     V0 = params.alpha * (2.0 * step_uniform(base_v, 0) - 1.0)
-    swarm = BatchSwarm(params, objective, trials, master_seed, init="explicit",
-                       positions=X0, velocities=V0)
+    swarm = BatchSwarm(params, objective, trials, master_seed, positions=X0, velocities=V0)
 
     def gap():
         return ((swarm.G[None, :, 0] - swarm.P[:, :, 0]) ** 2).max(axis=0)

@@ -14,15 +14,17 @@ without an explicit `--seed` (or `--seed auto`).
 
 The library checks each rule about a run's input, before any output exists,
 and `main` turns its `ValueError` into exit code 2.  This module adds only
-what the library cannot see: keys, value syntax, missing keys, the length of
-a flat explicit start, `simulate`'s stride, `moments`' bests, and that
-`stagnate` and `demo` get what they run.
+what the library cannot see: keys, value syntax, missing keys, the `init`
+mode and the length of a flat explicit start, `simulate`'s stride, that
+`moments`' bests and f(1) are finite, and that `stagnate` and `demo` get
+what they run.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 
@@ -226,9 +228,12 @@ def _out_dir(args):
 # ---------------------------------------------------------------------------
 
 def _start(cfg, params) -> dict:
-    """The `BatchSwarm` start keywords of the configuration; an explicit start
-    is written flat, particle by particle, and read as (m, n)."""
-    start = {"init": cfg["init"], "require_nonneg_gbest": cfg["require_nonneg_gbest"]}
+    """The `BatchSwarm` start keywords of the configuration, whose `init` is
+    "random" or "explicit"; an explicit start is written flat, particle by
+    particle, and read as (m, n)."""
+    start = {"require_nonneg_gbest": cfg["require_nonneg_gbest"]}
+    if cfg["init"] not in ("random", "explicit"):
+        raise CliError(f"unknown init mode {cfg['init']!r}; known: explicit, random")
     if cfg["init"] == "explicit":
         m, n = params.m, params.n
         for key in ("positions", "velocities"):
@@ -357,6 +362,8 @@ def cmd_moments(args) -> int:
     if not (np.isfinite(p_best) and np.isfinite(g_best)):
         raise CliError(f"--p-best and --g-best must be finite, got {p_best!r}, {g_best!r}")
     f1 = float(moments.f_one(params.omega, phi1, phi2))
+    if not math.isfinite(f1):
+        raise CliError(f"f(1) overflows at omega {params.omega!r}, phi1 {phi1!r}, phi2 {phi2!r}")
     f1_alt = float(moments.f_one_asymmetric_variant(params.omega, phi1, phi2))
     M = moments.moment_transition(params, p_best, g_best)
     block = moments.second_moment_block(M)

@@ -18,8 +18,8 @@ def init_swarm(params: PsoParams, f: ObjectiveFn, seed: int, **start) -> BatchSw
     """Trial 0 of the seed as a one-trial swarm, started as `fht` starts it:
     `start` holds the `BatchSwarm` start keywords.  By default positions and
     velocities are uniform on [-alpha, alpha]; with require_nonneg_gbest, a
-    start without any nonnegative position is drawn again; with
-    init="explicit", the (m, n) positions and velocities are given.
+    start without any nonnegative position is drawn again; with (m, n)
+    positions and velocities, those are the start.
     """
     return BatchSwarm(params, f, 1, seed, **start)
 
@@ -28,8 +28,7 @@ def init_swarm_explicit(params: PsoParams, f: ObjectiveFn, seed: int,
                         positions, velocities) -> BatchSwarm:
     """Initial state with caller-specified (m, n) positions and velocities
     (length-m sequences for one-dimensional swarms)."""
-    return BatchSwarm(params, f, 1, seed, init="explicit",
-                      positions=positions, velocities=velocities)
+    return BatchSwarm(params, f, 1, seed, positions=positions, velocities=velocities)
 
 
 def step(swarm: BatchSwarm) -> BatchSwarm:

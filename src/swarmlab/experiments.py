@@ -100,7 +100,7 @@ def estimate_fht(params: PsoParams, objective: ObjectiveFn, trials: int, budget:
     """Run `trials` independent trials with split random streams.
 
     The arguments are those of `batch.run_fht_batch`; `start` holds the
-    `BatchSwarm` start keywords (`init`, `positions`, `velocities`,
+    `BatchSwarm` start keywords (`positions`, `velocities`,
     `require_nonneg_gbest`).  Censored trials are excluded from the hit-time
     statistics and reported separately; no imputation.  `threads` is clamped
     to [1, min(trials, CPU count)]; with more than one, the trial range is

@@ -57,25 +57,38 @@ def f_one(omega, phi1, phi2):
 
     Positivity of this quantity (together with 0 <= omega < 1 and
     phi1 + phi2 > 0) characterises mean-square stability of the
-    fixed-attractor process.  Accepts scalars or broadcasting arrays.
+    fixed-attractor process.  Accepts scalars or broadcasting arrays; a
+    Python float omega whose square overflows gives an infinite term, as an
+    array's does, not an OverflowError.
     """
-    return (-(phi1 + phi2) * omega**2
+    return (-(phi1 + phi2) * _square(omega)
             + (phi1 * phi1 / 6 + phi2 * phi2 / 6 + phi1 * phi2 / 2) * omega
             + phi1 + phi2 - phi1 * phi1 / 3 - phi2 * phi2 / 3 - phi1 * phi2 / 2)
+
+
+def _square(x):
+    """x**2, inf where a Python float's square overflows: there `**` raises
+    OverflowError, where numpy's gives inf."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 def in_mean_square_region(omega, phi1, phi2):
     """0 <= omega < 1, phi1 + phi2 > 0, and f(1) > 0.
 
     The positivity of phi1 + phi2 (rather than >= 0) keeps the process
-    nondegenerate; it is also required by the mean-limit conditions.
+    nondegenerate; it is also required by the mean-limit conditions.  Where
+    f(1) overflows, the test is False, without a numpy warning.
     """
-    return _mean_square_given_f1(omega, phi1, phi2, f_one(omega, phi1, phi2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _mean_square_rule(omega, phi1 + phi2, f_one(omega, phi1, phi2))
 
 
-def _mean_square_given_f1(omega, phi1, phi2, f1):
-    """`in_mean_square_region` where f1 is f_one(omega, phi1, phi2)."""
-    return (omega >= 0) & (omega < 1) & (phi1 + phi2 > 0) & (f1 > 0)
+def _mean_square_rule(omega, s, f1):
+    """`in_mean_square_region` from s = phi1 + phi2 and f1 = f(1)."""
+    return (omega >= 0) & (omega < 1) & (s > 0) & (f1 > 0)
 
 
 def f_one_asymmetric_variant(omega, phi1, phi2):
@@ -87,7 +100,7 @@ def f_one_asymmetric_variant(omega, phi1, phi2):
     stability boundary.  The spectral oracle decides empirically; see the
     region-equivalence tests.
     """
-    return (-(phi1 + phi2) * omega**2
+    return (-(phi1 + phi2) * _square(omega)
             + (phi2 * phi2 / 6 + phi1 * phi1 * phi2 * phi2 / 2) * omega
             + phi1 + phi2 - phi1 * phi1 / 3 - phi2 * phi2 / 3 - phi1 * phi2 / 2)
 
@@ -172,7 +185,7 @@ def stationary_moments(params: PsoParams, p_best: float, g_best: float) -> np.nd
     Returns the full 6-vector (last component 1).  Outside
     `in_mean_square_region` the fixed point does not attract (its second
     moment can be negative): ValueError.  Also raises if the homogeneous part
-    has an eigenvalue at 1.
+    has an eigenvalue at 1, or if the fixed point overflows.
     """
     if not in_mean_square_region(params.omega, params.phi1, params.phi2):
         raise ValueError("not mean-square stable (0 <= omega < 1, phi1 + phi2 > 0, f(1) > 0)")
@@ -182,6 +195,9 @@ def stationary_moments(params: PsoParams, p_best: float, g_best: float) -> np.nd
         x = np.linalg.solve(A, M[:5, 5])
     except np.linalg.LinAlgError:
         raise ValueError("no unique stationary moment state (boundary parameters)") from None
+    if not np.isfinite(x).all():
+        raise ValueError(f"the stationary moments overflow at bests ({p_best!r}, {g_best!r}), "
+                         f"delta {params.delta!r}")
     return np.append(x, 1.0)
 
 
@@ -218,15 +234,22 @@ def variance_limit(params: PsoParams, p_best: float, g_best: float) -> float:
     form above (every constant entering the driving term's second moment is
     amplified by (1 + omega)/f(1)), and the moment-oracle tests pin the
     agreement to relative 1e-9.  Parameters outside the mean-square region
-    (`in_mean_square_region`) raise ValueError.
+    (`in_mean_square_region`), and a limit that overflows, raise ValueError.
     """
     w, p1, p2 = params.omega, params.phi1, params.phi2
     if not in_mean_square_region(w, p1, p2):
         raise ValueError("not mean-square stable (0 <= omega < 1, phi1 + phi2 > 0, f(1) > 0)")
     s = p1 + p2
     f1 = f_one(w, p1, p2)
-    gap = (g_best - p_best) ** 2
-    return ((p1 * p2 / s) ** 2 * gap / 6.0 + params.delta ** 2 / 12.0) * (1.0 + w) / f1
+    try:   # a Python float's ** raises where its * and / give inf
+        gap = (g_best - p_best) ** 2
+        limit = ((p1 * p2 / s) ** 2 * gap / 6.0 + params.delta ** 2 / 12.0) * (1.0 + w) / f1
+    except OverflowError:
+        limit = math.inf
+    if not math.isfinite(limit):
+        raise ValueError(f"the variance limit overflows at bests ({p_best!r}, {g_best!r}), "
+                         f"delta {params.delta!r}")
+    return limit
 
 
 @dataclass(frozen=True)
@@ -253,13 +276,17 @@ def second_moment_block(M: np.ndarray) -> np.ndarray:
 
 
 def char_cubic_radius(A: np.ndarray) -> float:
-    """Spectral radius of a 3x3 matrix via companion-form root solving."""
+    """Spectral radius of a 3x3 matrix via companion-form root solving;
+    ValueError where a coefficient of the characteristic cubic overflows."""
     A = np.asarray(A, dtype=np.float64)
     if A.shape != (3, 3):
         raise ValueError("char_cubic_radius expects a 3x3 matrix")
-    c2 = -np.trace(A)
-    c1 = 0.5 * (np.trace(A) ** 2 - np.trace(A @ A))
-    c0 = -np.linalg.det(A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2 = -np.trace(A)
+        c1 = 0.5 * (np.trace(A) ** 2 - np.trace(A @ A))
+        c0 = -np.linalg.det(A)
+    if not np.isfinite([c2, c1, c0]).all():
+        raise ValueError("the characteristic cubic of the second-moment block overflows")
     roots = np.roots([1.0, c2, c1, c0])
     return float(np.max(np.abs(roots)))
 

@@ -2,9 +2,8 @@
 
 All predicates accept scalars or broadcasting arrays and use strict
 inequalities as stated; the scanner samples cell centres (half-cell offset)
-so exact boundaries are never evaluated.  The noisy-FHT and personal-best
-rules are written once, on f(1) and the two masks they refine, for the
-public predicates and the scanner alike.
+so exact boundaries are never evaluated.  f(1) and every region rule are
+written once, in `_rules`, for the public predicates and the scanner alike.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import row_blocks
-from .moments import _mean_square_given_f1, f_one, in_mean_square_region
+from .moments import _mean_square_rule, f_one, in_mean_square_region
 
 __all__ = [
     "in_deterministic_region",
@@ -30,20 +29,44 @@ __all__ = [
     "csv_labels",
 ]
 
+# the region flags in `RegionGrid`, CSV column and flag-code order: bit k of
+# a cell's flag code is flag k
+_FLAGS = ("deterministic", "lyapunov", "mean_square", "noisy_fht", "pbest_convergence")
+
+
+def _rules(omega, phi1, phi2) -> dict:
+    """f(1) and the five region flags, keyed by their `RegionGrid` field.
+
+    A bound that overflows, or the Lyapunov bound's 0/0 at omega = -1, lies
+    where its flag is False anyway, and a flag that reads f(1) is False
+    where f(1) is not finite, so numpy's overflow and invalid warnings are
+    off for the whole table.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        f1 = f_one(omega, phi1, phi2)
+        s = phi1 + phi2
+        w_abs = np.abs(omega)
+        deterministic = (w_abs < 1) & (s > 0) & (s < 4.0 * (1.0 + omega))
+        lyapunov_bound = 2.0 * (1.0 - 2.0 * w_abs + omega * omega) / (1.0 + omega)
+        mean_square = _mean_square_rule(omega, s, f1)
+        both = mean_square & deterministic
+        pbest_bound = np.maximum(phi1 * phi1, phi2 * phi2) * (1.0 + omega) / 6.0
+        flags = (deterministic,
+                 (w_abs < 1) & (omega != 0) & (s < lyapunov_bound),
+                 mean_square,
+                 both & (f1 > 1.0 / 3.0),
+                 both & (f1 > pbest_bound))
+    return {"f1": f1, **dict(zip(_FLAGS, flags))}
+
 
 def in_deterministic_region(omega, phi1, phi2):
     """|omega| < 1 and 0 < phi1 + phi2 < 4 (1 + omega)."""
-    s = phi1 + phi2
-    return (np.abs(omega) < 1) & (s > 0) & (s < 4.0 * (1.0 + omega))
+    return _rules(omega, phi1, phi2)["deterministic"]
 
 
 def in_lyapunov_region(omega, phi1, phi2):
     """|omega| < 1, omega != 0, and phi1 + phi2 < 2 (1 - 2|omega| + omega^2) / (1 + omega)."""
-    s = phi1 + phi2
-    # the bound is 0/0 at omega = -1, where |omega| < 1 already fails
-    with np.errstate(invalid="ignore"):
-        bound = 2.0 * (1.0 - 2.0 * np.abs(omega) + omega * omega) / (1.0 + omega)
-    return (np.abs(omega) < 1) & (omega != 0) & (s < bound)
+    return _rules(omega, phi1, phi2)["lyapunov"]
 
 
 def in_noisy_fht_region(omega, phi1, phi2):
@@ -52,14 +75,7 @@ def in_noisy_fht_region(omega, phi1, phi2):
     The remaining hypothesis of the finite-hitting-time result (delta <=
     epsilon) involves run-time quantities and is checked at experiment level.
     """
-    f1 = f_one(omega, phi1, phi2)
-    return _noisy_fht(f1, _mean_square_given_f1(omega, phi1, phi2, f1),
-                      in_deterministic_region(omega, phi1, phi2))
-
-
-def _noisy_fht(f1, mean_square, deterministic):
-    """`in_noisy_fht_region` from f(1) and the mean-square and deterministic masks."""
-    return mean_square & deterministic & (f1 > 1.0 / 3.0)
+    return _rules(omega, phi1, phi2)["noisy_fht"]
 
 
 def in_pbest_convergence_region(omega, phi1, phi2):
@@ -67,17 +83,7 @@ def in_pbest_convergence_region(omega, phi1, phi2):
     approaches the global best: the mean-square and deterministic conditions
     plus f(1) > max(phi1^2, phi2^2) (1 + omega) / 6.
     """
-    f1 = f_one(omega, phi1, phi2)
-    return _pbest_convergence(omega, phi1, phi2, f1,
-                              _mean_square_given_f1(omega, phi1, phi2, f1),
-                              in_deterministic_region(omega, phi1, phi2))
-
-
-def _pbest_convergence(omega, phi1, phi2, f1, mean_square, deterministic):
-    """`in_pbest_convergence_region` from f(1) and the mean-square and
-    deterministic masks."""
-    bound = np.maximum(phi1 * phi1, phi2 * phi2) * (1.0 + omega) / 6.0
-    return mean_square & deterministic & (f1 > bound)
+    return _rules(omega, phi1, phi2)["pbest_convergence"]
 
 
 @dataclass(frozen=True)
@@ -97,14 +103,19 @@ class RegionGrid:
 def _cell_centres(lo, hi, resolution) -> np.ndarray:
     """Centres of `resolution` equal cells on [lo, hi].
 
-    ValueError unless the bounds and the width are finite and
-    lo < centre_0 < ... < centre_last < hi holds in floating point, so that
-    no two cells share a centre and no centre lies on a bound.
+    ValueError unless the bounds, the width and (resolution - 1/2) times the
+    width are finite and lo < centre_0 < ... < centre_last < hi holds in
+    floating point, so that no two cells share a centre and no centre lies
+    on a bound.
     """
+    lo, hi = float(lo), float(hi)   # a Python float overflows without a warning
     if not (hi > lo):
         raise ValueError(f"ranges must be increasing, got [{lo!r}, {hi!r}]")
     if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(hi - lo)):
         raise ValueError(f"range [{lo!r}, {hi!r}] must have finite bounds and width")
+    if not np.isfinite((resolution - 0.5) * (hi - lo)):
+        raise ValueError(f"range [{lo!r}, {hi!r}] is too wide for {resolution} "
+                         "cell centres in floating point")
     centres = lo + (np.arange(resolution) + 0.5) * (hi - lo) / resolution
     if not np.all(np.diff(np.concatenate(([lo], centres, [hi]))) > 0):
         raise ValueError(f"range [{lo!r}, {hi!r}] is too narrow for "
@@ -116,38 +127,27 @@ def scan_regions(omega_range=(0.0, 1.0), phi_range=(0.0, 4.0), resolution=400) -
     """Region memberships on a resolution x resolution grid of cell centres.
 
     The grid is filled in blocks of whole omega rows, about
-    `core.BLOCK_CELLS` cells each, written into preallocated fields.  A
-    block computes f(1), the deterministic mask and the mean-square mask
-    once and derives the noisy-FHT and personal-best masks from them, with
-    the rules the public predicates use, so every field has the bits of its
-    predicate on the whole meshgrid.
+    `core.BLOCK_CELLS` cells each, each block straight from `_rules`, so
+    every field has the bits of its predicate on the whole meshgrid.
 
-    Raises ValueError for a resolution below 2, for a window whose bounds or
-    width are not finite or whose cell centres are not strictly increasing
-    and strictly inside it, and for one where some cell's f(1) is not finite.
+    Raises ValueError for a resolution below 2, for a window whose bounds,
+    width or (resolution - 1/2) times its width are not finite or whose cell
+    centres are not strictly increasing and strictly inside it, and for one
+    where some cell's f(1) is not finite.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
     omega = _cell_centres(*omega_range, resolution)
     phi = _cell_centres(*phi_range, resolution)
     shape = (resolution, resolution)
-    f1 = np.empty(shape)
-    det, lyap, ms, noisy, pbest = (np.empty(shape, dtype=bool) for _ in range(5))
+    fields = {"f1": np.empty(shape), **{flag: np.empty(shape, dtype=bool) for flag in _FLAGS}}
     PH = phi[None, :]
-    # a bound overflows only where its flag is False; f(1) is checked below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows in row_blocks(resolution, resolution):
-            OM = omega[rows, None]
-            f1[rows] = f = f_one(OM, PH, PH)
-            det[rows] = d = in_deterministic_region(OM, PH, PH)
-            lyap[rows] = in_lyapunov_region(OM, PH, PH)
-            ms[rows] = m = _mean_square_given_f1(OM, PH, PH, f)
-            noisy[rows] = _noisy_fht(f, m, d)
-            pbest[rows] = _pbest_convergence(OM, PH, PH, f, m, d)
-    if not np.isfinite(f1).all():
+    for rows in row_blocks(resolution, resolution):
+        for name, value in _rules(omega[rows, None], PH, PH).items():
+            fields[name][rows] = value
+    if not np.isfinite(fields["f1"]).all():
         raise ValueError(f"f(1) overflows on omega {omega_range!r} x phi {phi_range!r}")
-    return RegionGrid(omega=omega, phi=phi, f1=f1, deterministic=det, lyapunov=lyap,
-                      mean_square=ms, noisy_fht=noisy, pbest_convergence=pbest)
+    return RegionGrid(omega=omega, phi=phi, **fields)
 
 
 REGIONS_CSV_HEADER = "omega,phi,f1,deterministic,lyapunov,mean_square,noisy_fht,pbest_convergence"
@@ -162,8 +162,6 @@ def csv_labels(values) -> list:
     return labels
 
 
-# region flags in CSV column order; bit k of a cell's flag code is field k
-_FLAG_FIELDS = ("deterministic", "lyapunov", "mean_square", "noisy_fht", "pbest_convergence")
 # the row tail ",d,l,m,n,p\n" of each of the 32 flag codes
 _FLAG_TAILS = np.array([",%d,%d,%d,%d,%d\n" % tuple((code >> k) & 1 for k in range(5))
                         for code in range(32)], dtype=object)
@@ -181,7 +179,7 @@ def write_regions_csv(grid: RegionGrid, path) -> None:
     scalars, so the file is the one a per-cell writer would produce.
     """
     code = np.zeros(grid.f1.shape, dtype=np.uint8)
-    for k, field in enumerate(_FLAG_FIELDS):
+    for k, field in enumerate(_FLAGS):
         code |= getattr(grid, field).astype(np.uint8) << k
     # a row is w_label + "p_0,%.9g%s" + w_label + "p_1,%.9g%s" + ...
     cells = [p + ",%.9g%s" for p in csv_labels(grid.phi)]

@@ -47,15 +47,18 @@ def kappa(omega, phi2):
 
     The expected inter-particle distance shrinks at least geometrically with
     this rate whenever it is below 1.  Accepts scalars or arrays; phi2 must be
-    positive.
+    positive.  Where a term overflows (phi2 or |omega| phi2 above about
+    1e77), or b < 0 (omega far below 0), kappa is inf or NaN, without a
+    numpy warning; neither is below 1.
     """
     phi2 = np.asarray(phi2, dtype=np.float64)
     if np.any(phi2 <= 0):
         raise ValueError("kappa requires phi2 > 0")
-    a = phi2 * phi2 - 2.0 * phi2 + 2.0 + 2.0 * omega * phi2
-    b = (phi2 * phi2 - 2.0 * phi2 + 2.0 * omega * phi2 + 2.0) \
-        * (phi2 * phi2 + 6.0 * phi2 + 2.0 * omega * phi2 + 2.0)
-    out = a / (4.0 * phi2) + np.sqrt(b) / (4.0 * phi2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = phi2 * phi2 - 2.0 * phi2 + 2.0 + 2.0 * omega * phi2
+        b = (phi2 * phi2 - 2.0 * phi2 + 2.0 * omega * phi2 + 2.0) \
+            * (phi2 * phi2 + 6.0 * phi2 + 2.0 * omega * phi2 + 2.0)
+        out = a / (4.0 * phi2) + np.sqrt(b) / (4.0 * phi2)
     return out if out.ndim else float(out)
 
 
@@ -121,8 +124,8 @@ def velocity_sum_bound(params: PsoParams, init: TwoParticleInit) -> float:
     if not (0 < w < 1):
         raise ValueError("velocity sum bound requires 0 < omega < 1")
     k = kappa(w, params.phi2)
-    if k >= 1:
-        raise ValueError(f"series diverges: kappa = {k} >= 1")
+    if not k < 1:
+        raise ValueError(f"series diverges: kappa = {k} is not below 1")
     coeff = 2.0 * params.phi2 / ((1.0 - w) * (1.0 - k))
     return coeff * (abs(init.d0) + abs(init.v1) + abs(init.v2))
 

@@ -78,7 +78,7 @@ def test_criterion_03_single_particle_drift():
         if v_ref != 0.0:
             worst_rel = max(worst_rel, abs(swarm.V[0, 0, 0] - v_ref) / abs(v_ref))
     est = experiments.estimate_fht(params, f, 100, 1_000_000, 302,
-                                   init="explicit", positions=[x0], velocities=[v0])
+                                   positions=[x0], velocities=[v0])
     # on the sphere a trial's global-best value is the least x * x of every
     # position it evaluated, so it tells whether the particle entered the ball
     entered = int((est.final_gbest_values <= (params.epsilon * params.alpha) ** 2).sum())

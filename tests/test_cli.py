@@ -53,12 +53,16 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    # the command line is the only reader of `init`; the library takes the
+    # start from whether positions and velocities are given
     @pytest.mark.parametrize("command", ["simulate", "fht"])
-    def test_unknown_init_mode(self, tmp_path, command):
+    def test_unknown_init_mode(self, tmp_path, capsys, command):
         rc = main([command, "--preset", "prop1-bad-init", "--override", "init=bogus",
                    "--override", "trials=2", "--override", "budget=100",
                    "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert not (tmp_path / "o").exists()
+        assert "unknown init mode 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "fht"])
     @pytest.mark.parametrize("key", ["positions", "velocities"])
@@ -233,6 +237,38 @@ class TestExitCodes:
                    *flags, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert not (tmp_path / "o").exists()
+
+    # finite inputs whose oracle quantities overflow.  Before, the moments
+    # and demo cases ended in an OverflowError traceback (exit 1) or, at
+    # phi1 = 1e200, in three RuntimeWarnings and numpy's "Array must not
+    # contain infs or NaNs"; at phi1 = phi2 = 1e80 f(1) is finite, but the
+    # spectral radius warned; stagnate and regions warned before their
+    # error, and regions called its too-wide window too narrow
+    _MOMENTS = ["moments", "--phi1", "1.5", "--phi2", "1.5"]
+
+    @pytest.mark.parametrize("argv, message", [
+        ([*_MOMENTS, "--omega", "1e200"], "f(1) overflows"),
+        (["moments", "--omega", "0.5", "--phi1", "1e200", "--phi2", "1.5"], "f(1) overflows"),
+        ([*_MOMENTS, "--omega", "0.4", "--p-best", "1e200", "--g-best", "0"],
+         "stationary moments overflow"),
+        ([*_MOMENTS, "--omega", "0.4", "--delta", "1e200"], "stationary moments overflow"),
+        (["moments", "--omega", "0.5", "--phi1", "1e80", "--phi2", "1e80"],
+         "characteristic cubic of the second-moment block overflows"),
+        (["demo", "counterexample", "--seed", "1", "--override", "delta=1e200"],
+         "variance limit overflows"),
+        (["demo", "counterexample", "--seed", "1", "--override", "omega=1e200"],
+         "not mean-square stable"),
+        (["stagnate", "--preset", "thm2-example", "--seed", "1", "--override", "phi2=1e200"],
+         "kappa = inf is not below 1"),
+        (["regions", "--phi-max", "1e308", "--resolution", "3"], "too wide"),
+    ], ids=["moments-omega", "moments-phi1", "moments-p-best", "moments-delta",
+            "moments-cubic", "demo-delta", "demo-omega", "stagnate-phi2", "regions-phi-max"])
+    def test_oracle_overflow_exits_2_quietly(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     # argparse reads --phi as an ambiguous prefix of --phi1 and --phi2
     @pytest.mark.parametrize("phis", [["--phi", "1.5"], ["--phi1", "1.5"]])

@@ -59,6 +59,16 @@ class TestInit:
         with pytest.raises(ValueError):
             engine.init_swarm_explicit(_params(m=2), sphere(), 0, [1.0, 2.0], [0.0])
 
+    def test_start_follows_from_its_data(self):
+        # before, positions and velocities without init="explicit" were
+        # ignored, and this swarm started at X = -0.0052, -0.5537
+        params = _params(m=1)
+        sw = batch.BatchSwarm(params, sphere(), 2, 7, positions=[[5.0]], velocities=[[0.0]])
+        assert sw.X[:, :, 0].tolist() == [[5.0, 5.0]]
+        for start in (dict(positions=[[5.0]]), dict(velocities=[[0.0]])):
+            with pytest.raises(ValueError, match="both positions and velocities"):
+                batch.BatchSwarm(params, sphere(), 2, 7, **start)
+
     def test_nan_position_rejected(self):
         # a NaN position's value would be NaN, which no objective may return;
         # an infinite position or a non-finite velocity turns into NaN on the
@@ -73,7 +83,7 @@ class TestInit:
         # start entirely below 0 ran on sphere_plus with an infinite global
         # best and every trial censored
         params = _params(m=3)
-        start = dict(init="explicit", require_nonneg_gbest=True)
+        start = dict(require_nonneg_gbest=True)
         with pytest.raises(ValueError, match="require_nonneg_gbest"):
             batch.BatchSwarm(params, sphere_plus(), 2, 0, positions=[-0.5, -0.3, -0.2],
                              velocities=[0.0, 0.0, 0.0], **start)
@@ -290,8 +300,7 @@ class TestBatchEquivalence:
         X0 = np.array([[[1.7e308], [0.3]], [[-1.7e308], [0.2]], [[0.4], [0.0]]])
         V0 = np.array([[[1e308], [-0.0]], [[-1e308], [0.0]], [[-0.0], [-0.0]]])
         seed, trials = 6, len(X0)
-        sw = batch.BatchSwarm(params, f, trials, seed, init="explicit",
-                              positions=X0, velocities=V0)
+        sw = batch.BatchSwarm(params, f, trials, seed, positions=X0, velocities=V0)
         draws = [trial_draws(seed, k) for k in range(trials)]
         states = [ref_explicit(ref.sphere, X0[k], V0[k]) for k in range(trials)]
         for _ in range(4):
@@ -415,17 +424,14 @@ def _check_hit_rule(params, f, ref_f, trials, budget, seed, nonneg=False, X0=Non
                     V0=None):
     """run_fht_batch and run_until_hit on the objective `f` against the scalar
     replay on its reference `ref_f`; returns the replayed hit evals."""
-    explicit = X0 is not None
-    init = "explicit" if explicit else "random"
-    full = batch.run_fht_batch(params, f, trials, budget, seed, init=init,
-                               positions=X0, velocities=V0, require_nonneg_gbest=nonneg)
+    full = batch.run_fht_batch(params, f, trials, budget, seed, positions=X0,
+                               velocities=V0, require_nonneg_gbest=nonneg)
     want = []
     for k in range(trials):
         draw = trial_draws(seed, k)
-        if explicit:
+        if X0 is not None:
             state = ref_explicit(ref_f, X0[k], V0[k])
-            one = batch.BatchSwarm(params, f, 1, seed, k, init="explicit",
-                                   positions=X0[k], velocities=V0[k])
+            one = batch.BatchSwarm(params, f, 1, seed, k, positions=X0[k], velocities=V0[k])
         else:
             attempt = 0
             state = ref_init(params, ref_f, draw)
@@ -481,8 +487,7 @@ def _stepped_to_the_budget(params, f, trials, budget, seed):
 def _at_rest(params, X0, trials=4, f=sphere()):
     """A swarm started at rest on the (m, n) positions X0, with its last step
     taken to have improved no personal best."""
-    sw = batch.BatchSwarm(params, f, trials, 3, init="explicit",
-                          positions=X0, velocities=np.zeros_like(X0))
+    sw = batch.BatchSwarm(params, f, trials, 3, positions=X0, velocities=np.zeros_like(X0))
     sw.improved = np.zeros((params.m, trials), dtype=bool)
     return sw
 
@@ -518,7 +523,7 @@ def _near_rest_swarms(draw, trials=3):
     X, V, other = (grid(values, m, trials, n) for values in (_NEAR_REST, (0.0, -0.0), _NEAR_REST))
     at_x = grid((False, True), m, trials) | (f.batch_evaluate(other) > f.batch_evaluate(X))
     P = np.where(at_x[:, :, None], X, other)
-    sw = batch.BatchSwarm(params, f, trials, draw(st.integers(0, 2 ** 32)), init="explicit",
+    sw = batch.BatchSwarm(params, f, trials, draw(st.integers(0, 2 ** 32)),
                           positions=X.transpose(1, 0, 2), velocities=V.transpose(1, 0, 2))
     sw.P, sw.fP = P, f.batch_evaluate(P)
     sw.G, sw.fG = batch._global_best(sw.P, sw.fP)
@@ -739,7 +744,7 @@ def test_counterexample_runner_counts_match_a_stepped_swarm(trials):
     f = sphere()
     steps, window, seed = 200, 80, 12
     res = batch.run_counterexample_batch(params, f, trials, steps, window, seed)
-    sw = batch.BatchSwarm(params, f, trials, seed, init="explicit",
+    sw = batch.BatchSwarm(params, f, trials, seed,
                           positions=np.array([[0.0], [1.0]]), velocities=np.zeros((2, 1)))
     updates = np.zeros((trials, 2), dtype=np.int64)
     s1, s2 = [0.0] * trials, [0.0] * trials

@@ -26,8 +26,6 @@ class TestExperimentConfig:
             estimate_fht(p, f, 0, 100, 1)
         with pytest.raises(ValueError):
             estimate_fht(p, f, 1, 1, 1)
-        with pytest.raises(ValueError):
-            estimate_fht(p, f, 1, 100, 1, init="explicit")
 
 
 class TestWilson:
@@ -41,7 +39,7 @@ class TestWilson:
 class TestEstimateFht:
     def test_initial_inside_ball_hits_with_m_evals(self):
         p = _noisy_params(m=2, epsilon=0.5)
-        est = estimate_fht(p, get_objective("sphere"), 10, 1000, 4, init="explicit",
+        est = estimate_fht(p, get_objective("sphere"), 10, 1000, 4,
                            positions=(0.1, 3.0), velocities=(0.0, 0.0))
         assert est.hits == 10 and est.censored == 0
         assert np.all(est.hit_evals == 2)
@@ -50,7 +48,7 @@ class TestEstimateFht:
     def test_prop1_configuration_censors(self):
         p = make_params(0.5, 1.5, 1.5, 0, 1, 0.5, 1, 1)
         est = estimate_fht(p, get_objective("sphere"), 20, 5000, 4,
-                           init="explicit", positions=(0.9,), velocities=(-0.05,))
+                           positions=(0.9,), velocities=(-0.05,))
         assert est.hits == 0 and est.censored == 20
         assert est.mean_over_hits is None
 
@@ -130,7 +128,7 @@ class TestNoisyRuleLeavesStagnation:
                         c["m"], c["n"])
         assert in_noisy_fht_region(p.omega, p.phi1, p.phi2) and p.delta <= p.epsilon
         est = estimate_fht(p, get_objective(c["objective"]), trials, budget, seed,
-                           init="explicit", positions=c["positions"],
+                           positions=c["positions"],
                            velocities=c["velocities"])
         assert est.hits == trials and est.censored == 0
 

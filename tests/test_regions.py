@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swarmlab import moments, regions
 from swarmlab.core import row_blocks
@@ -305,3 +306,56 @@ class TestOverflowingWindows:
         assert np.isfinite(grid.f1).all()
         assert not grid.lyapunov.any()
         assert np.array_equal(grid.f1, moments.f_one(grid.omega[:, None], grid.phi, grid.phi))
+
+    def test_a_window_too_wide_for_its_centres_is_rejected(self):
+        # the width 1e308 is finite, but 2.5 times it is not; before, numpy
+        # warned and the window was called too narrow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo, hi in ((0.0, 1e308), (np.float64(0.0), np.float64(1e308))):
+                with pytest.raises(ValueError, match="too wide"):
+                    regions.scan_regions((0.0, 1.0), (lo, hi), 3)
+
+
+_PREDICATES = {
+    "deterministic": regions.in_deterministic_region,
+    "lyapunov": regions.in_lyapunov_region,
+    "mean_square": regions.in_mean_square_region,
+    "noisy_fht": regions.in_noisy_fht_region,
+    "pbest_convergence": regions.in_pbest_convergence_region,
+}
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestQuietOnEveryFiniteInput:
+    """Every public predicate answers any finite input without a numpy
+    warning, on Python floats and on arrays alike."""
+
+    @given(st.lists(st.tuples(_finite, _finite, _finite), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    @example([(1e200, 1.0, 1.0)])              # omega**2 raised OverflowError
+    @example([(0.5, 1.2e154, 1.2e154)])        # the personal-best bound overflows
+    @example([(1e200, 1.0, 1.0), (0.5, 1e308, 1e308), (-1.0, 0.5, 0.5)])
+    def test_no_warning_and_false_where_f1_is_not_finite(self, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = [(moments.f_one(*p), {k: fn(*p) for k, fn in _PREDICATES.items()})
+                      for p in points]
+            W, P1, P2 = (np.array(axis) for axis in zip(*points))
+            flags = {k: fn(W, P1, P2) for k, fn in _PREDICATES.items()}
+        with np.errstate(over="ignore", invalid="ignore"):
+            f1 = moments.f_one(W, P1, P2)
+        # the Lyapunov rule reads no f(1); see the test below
+        for k in ("deterministic", "mean_square", "noisy_fht", "pbest_convergence"):
+            assert flags[k].shape == W.shape
+            assert not np.any(flags[k] & ~np.isfinite(f1)), k
+            for f1_point, point_flags in scalar:
+                assert np.isfinite(f1_point) or not point_flags[k], k
+
+    def test_lyapunov_rule_holds_where_f1_overflows(self):
+        # phi1 + phi2 = 0 is below the bound 1/3 at omega = 0.5, while each
+        # square in f(1) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(moments.f_one(0.5, 1e200, -1e200))
+            assert regions.in_lyapunov_region(0.5, 1e200, -1e200)

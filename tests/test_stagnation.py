@@ -185,8 +185,7 @@ class TestDistanceMeanSquareLaw:
                                       moments.initial_moment_state(d0, d0 - (v0[1] - v0[0])),
                                       horizon)[:, 0]
         assert law[1] == pytest.approx(0.25)
-        sw = batch.BatchSwarm(params, sphere(), trials, 404, init="explicit",
-                              positions=x0, velocities=v0)
+        sw = batch.BatchSwarm(params, sphere(), trials, 404, positions=x0, velocities=v0)
         valid = np.ones(trials, dtype=bool)
         for t in range(1, horizon + 1):
             sw.step()
@@ -342,8 +341,7 @@ def _check_against_per_step_recomputation(params, x0, v0, trials, steps, seed, t
     with plain `BatchSwarm.step` calls, one trial at a time in Python floats;
     returns the recomputed (entered, valid_at)."""
     res = batch.run_two_particle_demo(params, sphere(), x0, v0, trials, steps, seed)
-    sw = batch.BatchSwarm(params, sphere(), trials, seed, init="explicit",
-                          positions=x0, velocities=v0)
+    sw = batch.BatchSwarm(params, sphere(), trials, seed, positions=x0, velocities=v0)
     radius = params.epsilon
     entered = [False] * trials
     sum_abs_v = [[0.0, 0.0] for _ in range(trials)]
